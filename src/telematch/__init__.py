@@ -31,16 +31,20 @@ from .measurement import (
     standard_bell,
 )
 from .protocol import (
+    Batch,
     Fig1Row,
     KOutOfRangeError,
     KPolicy,
     MonteCarloReport,
     OutcomeReport,
+    Points,
     ProtocolReport,
     UnsupportedChannelError,
+    analytic_batch,
     analytic_report,
     attach_ancilla,
     branch_coefficients,
+    channel_points,
     evolve_and_measure,
     fig1_data,
     k_bound,
@@ -48,12 +52,15 @@ from .protocol import (
     monte_carlo,
     optimal_k,
     pauli_correction,
+    points,
+    simulate_batch,
     simulate_report,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Batch",
     "ChannelClass",
     "Fig1Row",
     "InvalidBasisError",
@@ -61,15 +68,18 @@ __all__ = [
     "KPolicy",
     "MonteCarloReport",
     "OutcomeReport",
+    "Points",
     "ProtocolReport",
     "PureInputState",
     "TwoQubitBasis",
     "TwoQubitChannel",
     "UnsupportedChannelError",
     "UnteleportableChannelError",
+    "analytic_batch",
     "analytic_report",
     "attach_ancilla",
     "branch_coefficients",
+    "channel_points",
     "branch_operators",
     "classify",
     "concurrence",
@@ -86,7 +96,9 @@ __all__ = [
     "parse_channel",
     "parse_complex",
     "pauli_correction",
+    "points",
     "project",
+    "simulate_batch",
     "simulate_report",
     "standard_bell",
     "__version__",

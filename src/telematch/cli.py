@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -31,9 +32,15 @@ from .protocol import (
     KOutOfRangeError,
     KPolicy,
     UnsupportedChannelError,
+    analytic_batch,
     analytic_report,
-    fig1_data,
+    b_axis_channels,
+    channel_points,
+    fig1_columns,
+    fig1_grid,
     monte_carlo,
+    points,
+    simulate_batch,
     simulate_report,
 )
 
@@ -42,6 +49,15 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 SEED_ENV = "TELEMATCH_SEED"
+
+# Largest grid `sweep` and `fig1` accept. A sweep's kernels hold every
+# grid point at once, about 2.6 KB per point, so about 260 MB at the cap.
+MAX_STEPS = 100_000
+
+# fig1 rows computed and formatted per kernel call. Blocks keep the
+# kernels' arrays and the formatter's floats small whatever --steps is;
+# on a 20000-step fig1 the whole grid at once raised peak RSS by 4 MB.
+FIG1_BLOCK = 1024
 
 
 class _UsageError(Exception):
@@ -60,11 +76,27 @@ def _fmt(x: float) -> str:
 
 
 def _config(fn, *args):
-    """Run a parsing/validation step, mapping failures to usage errors."""
+    """Run a parsing/validation step, mapping failures to usage errors.
+
+    A K out of range stays a domain error, whichever step finds it.
+    """
     try:
         return fn(*args)
+    except KOutOfRangeError:
+        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _check_steps(steps: int, least: int) -> None:
+    if not least <= steps <= MAX_STEPS:
+        raise _UsageError(f"--steps must be between {least} and {MAX_STEPS}, got {steps}")
+
+
+def _write_rows(columns, out) -> None:
+    """Write one CSV row per index of equal-length columns."""
+    row = ",".join(["%.15g"] * len(columns)) + "\n"
+    out.write((row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist()))
 
 
 def _input_state(args) -> PureInputState:
@@ -227,48 +259,39 @@ def cmd_montecarlo(args) -> int:
 def cmd_sweep(args) -> int:
     basis = _config(parse_basis, args.basis)
     inp = _config(_input_state, args)
-    if args.steps < 1:
-        raise _UsageError(f"--steps must be >= 1, got {args.steps}")
+    _check_steps(args.steps, 1)
     grid = np.linspace(args.start, args.stop, args.steps)
-    rows = []
     if args.param == "k":
         if args.channel is None:
             raise _UsageError("sweeping k needs --channel")
         ch = _config(parse_channel, args.channel)
-        for k in grid:
-            policy = KPolicy.fixed(float(k))
-            ana = analytic_report(inp, ch, basis, policy)
-            sim = simulate_report(inp, ch, basis, policy)
-            rows.append((float(k), ana.total, sim.total))
+        pts = channel_points(ch, basis, "fixed", grid)
     else:
         if args.channel is not None:
             raise _UsageError("sweeping b derives the channel; drop --channel")
         policy = _config(KPolicy.parse, args.k)
-        for b in grid:
-            bb = float(b)
-            ch = _config(TwoQubitChannel.diagonal, math.sqrt(max(0.0, 1.0 - bb * bb)), bb)
-            ana = analytic_report(inp, ch, basis, policy)
-            sim = simulate_report(inp, ch, basis, policy)
-            rows.append((bb, ana.total, sim.total))
-    print(f"{args.param},analytic_total,simulated_total")
-    for value, ana_total, sim_total in rows:
-        print(",".join([_fmt(value), _fmt(ana_total), _fmt(sim_total)]))
+        pts = points(*b_axis_channels(grid), basis, policy.mode, policy.k)
+    ana = analytic_batch(inp, pts).total
+    sim = simulate_batch(inp, pts).total
+    sys.stdout.write(f"{args.param},analytic_total,simulated_total\n")
+    _write_rows((grid, ana, sim), sys.stdout)
     return EXIT_OK
 
 
+def _write_fig1(grid, out) -> None:
+    out.write("b,p_opt,p_k1,p_ksqrt2\n")
+    for start in range(0, len(grid), FIG1_BLOCK):
+        _write_rows(fig1_columns(grid[start:start + FIG1_BLOCK]), out)
+
+
 def cmd_fig1(args) -> int:
-    if args.steps < 2:
-        raise _UsageError(f"--steps must be >= 2, got {args.steps}")
-    rows = fig1_data(args.steps)
-    lines = ["b,p_opt,p_k1,p_ksqrt2"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    _check_steps(args.steps, 2)
+    grid = fig1_grid(args.steps)
     if args.out is None:
-        sys.stdout.write(text)
+        _write_fig1(grid, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_fig1(grid, fh)
     return EXIT_OK
 
 
@@ -331,10 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"telematch: error: {exc}", file=sys.stderr)

@@ -132,6 +132,18 @@ def branch_operators(x_cpm, basis: TwoQubitBasis) -> tuple[np.ndarray, ...]:
     return tuple(ops)
 
 
+def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Project a stack of three-qubit states onto every basis outcome.
+
+    `states` has shape (..., 8), laid out as in `project`. Returns the
+    outcome probabilities, shape (..., 4), and the unnormalized
+    receiver states, shape (..., 4, 2). Inputs are not validated.
+    """
+    blocks = states.reshape(states.shape[:-1] + (1, 4, 2))
+    receivers = (basis.t_matrix.conj()[:, None, :] @ blocks)[..., 0, :]
+    return qlinalg.norm2(receivers), receivers
+
+
 def project(total, basis: TwoQubitBasis, lam: int) -> tuple[float, np.ndarray]:
     """Project a three-qubit state onto outcome lam of the basis.
 
@@ -145,8 +157,8 @@ def project(total, basis: TwoQubitBasis, lam: int) -> tuple[float, np.ndarray]:
     v = qlinalg.as_vector(total)
     if v.shape[0] != 8:
         raise ValueError(f"total state must have length 8, got {v.shape[0]}")
-    receiver = basis.t_matrix[lam - 1].conj() @ v.reshape(4, 2)
-    return qlinalg.norm2(receiver), receiver
+    probs, receivers = project_all(v, basis)
+    return probs[lam - 1], receivers[lam - 1]
 
 
 def parse_basis(text: str) -> TwoQubitBasis:

@@ -27,6 +27,13 @@ Outcomes 3 and 4 deliver the input amplitudes swapped, so their success
 branches are evaluated against (beta, alpha); the trailing Pauli fixes
 the order. All probability formulas use coefficient moduli and hold for
 complex amplitudes.
+
+Two kernels do the work, each over a batch of N points (channel
+amplitudes a, b and K per outcome) that share one input state and one
+basis: `analytic_batch` evaluates the closed forms, `simulate_batch`
+evolves the three-qubit state vector. `points` validates a batch and
+resolves K once; the report functions, `monte_carlo` and `fig1_data`
+call the kernels, a single report being the N=1 case.
 """
 
 from __future__ import annotations
@@ -40,13 +47,18 @@ import numpy as np
 
 from . import qlinalg
 from .channel import (
-    ChannelClass,
+    NORMALIZATION_TOL,
     PureInputState,
     TwoQubitChannel,
     UnteleportableChannelError,
-    classify,
 )
-from .measurement import InvalidBasisError, TwoQubitBasis, _check_lam, project
+from .measurement import (
+    InvalidBasisError,
+    TwoQubitBasis,
+    _check_lam,
+    project_all,
+    standard_bell,
+)
 
 # Accept K at the matching bound despite last-ulp roundoff, while still
 # rejecting anything meaningfully above it.
@@ -66,15 +78,13 @@ PAULI = {
 }
 
 # Correction per outcome: identity, phase flip, bit flip, both.
-_CORRECTIONS = (
-    PAULI["I"],
-    PAULI["Z"],
-    PAULI["X"],
-    PAULI["Z"] @ PAULI["X"],
-)
+_CORRECTIONS = np.stack([PAULI["I"], PAULI["Z"], PAULI["X"], PAULI["Z"] @ PAULI["X"]])
 
 # Outcomes 3 and 4 arrive with the input amplitudes swapped.
-_SWAPS_INPUT = (False, False, True, True)
+_SWAPS_INPUT = np.array([False, False, True, True])
+
+# The Bell basis weights the channel pair (a, b) alike in every outcome.
+_BELL_WEIGHTS = np.ones(4)
 
 
 class KOutOfRangeError(ValueError):
@@ -175,10 +185,84 @@ class Fig1Row(NamedTuple):
     p_ksqrt2: float
 
 
-def k_bound(c0: complex, c1: complex) -> float:
-    """Largest valid K for a coefficient pair: min(1/|c0|, 1/|c1|)."""
-    m = max(abs(c0), abs(c1))
-    return math.inf if m == 0.0 else 1.0 / m
+class Points(NamedTuple):
+    """A validated batch of N protocol points that share one basis.
+
+    a and b hold the (N,) amplitudes of the channels a|00> + b|11>;
+    c0 and c1 the (N, 4) coefficient pair of each outcome; k the (N, 4)
+    K each outcome runs at.
+    """
+
+    basis: TwoQubitBasis
+    a: np.ndarray
+    b: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+    k: np.ndarray
+
+
+class Batch(NamedTuple):
+    """Kernel results: (N, 4) arrays per outcome and (N,) totals."""
+
+    k_used: np.ndarray
+    p_alice: np.ndarray
+    p_bob: np.ndarray
+    p_joint: np.ndarray
+    fidelity: np.ndarray
+    total: np.ndarray
+
+
+# Moduli, squares and complex products below are spelled out as hypot,
+# pow and real multiplies: that way every batch element rounds exactly
+# as the scalar Python expressions abs(z), x ** 2 and z * w do, so a
+# batch reproduces single-point results bit for bit. numpy's vectorised
+# complex multiply and abs may fuse operations and differ in the last bit.
+
+
+def _abs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _abs_prod(x, y):
+    """|x * y| for complex arrays x and y."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return np.hypot(xr * yr - xi * yi, xr * yi + xi * yr)
+
+
+def _square(x):
+    return np.float_power(x, 2.0)
+
+
+def _total(p_joint: np.ndarray) -> np.ndarray:
+    """Sum over the outcome axis, in outcome order."""
+    return p_joint[..., 0] + p_joint[..., 1] + p_joint[..., 2] + p_joint[..., 3]
+
+
+def k_bound(c0, c1):
+    """Largest valid K for a coefficient pair: min(1/|c0|, 1/|c1|).
+
+    Works elementwise on arrays of pairs; inf where both vanish.
+    """
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.maximum(_abs(c0), _abs(c1))
+
+
+def _unitaries(c0: np.ndarray, c1: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """matched_unitary over arrays of pairs and K: shape (..., 4, 4)."""
+    m0 = k * c1  # success amplitude for receiver bit 0 picks up the other coefficient
+    m1 = k * c0
+    r0 = np.sqrt(np.maximum(0.0, 1.0 - _square(k * _abs(c1))))
+    r1 = np.sqrt(np.maximum(0.0, 1.0 - _square(k * _abs(c0))))
+    u = np.zeros(np.shape(m0) + (4, 4), dtype=np.complex128)
+    u[..., 0, 0] = m0
+    u[..., 0, 2] = r0
+    u[..., 1, 1] = m1
+    u[..., 1, 3] = r1
+    u[..., 2, 0] = r0
+    u[..., 2, 2] = -np.conj(m0)
+    u[..., 3, 1] = r1
+    u[..., 3, 3] = -np.conj(m1)
+    return u
 
 
 def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
@@ -191,25 +275,18 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     0 < k <= min(1/|c0|, 1/|c1|).
     """
     k = float(k)
-    bound = k_bound(c0, c1)
+    bound = float(k_bound(c0, c1))
     if not math.isfinite(k) or k <= 0.0 or k > bound * (1.0 + K_BOUND_RTOL):
         raise KOutOfRangeError(
             f"K={k!r} outside (0, {bound!r}] for coefficients ({c0!r}, {c1!r})"
         )
-    m0 = k * c1  # success amplitude for receiver bit 0 picks up the other coefficient
-    m1 = k * c0
-    r0 = math.sqrt(max(0.0, 1.0 - (k * abs(c1)) ** 2))
-    r1 = math.sqrt(max(0.0, 1.0 - (k * abs(c0)) ** 2))
-    u = np.zeros((4, 4), dtype=np.complex128)
-    u[0, 0] = m0
-    u[0, 2] = r0
-    u[1, 1] = m1
-    u[1, 3] = r1
-    u[2, 0] = r0
-    u[2, 2] = -np.conj(m0)
-    u[3, 1] = r1
-    u[3, 3] = -np.conj(m1)
-    return u
+    return _unitaries(np.complex128(c0), np.complex128(c1), k)
+
+
+def _attach(receivers: np.ndarray) -> np.ndarray:
+    psi = np.zeros(receivers.shape[:-1] + (4,), dtype=np.complex128)
+    psi[..., :2] = receivers
+    return psi
 
 
 def attach_ancilla(receiver) -> np.ndarray:
@@ -217,9 +294,21 @@ def attach_ancilla(receiver) -> np.ndarray:
     v = qlinalg.as_vector(receiver)
     if v.shape[0] != 2:
         raise ValueError(f"receiver state must have length 2, got {v.shape[0]}")
-    out = np.zeros(4, dtype=np.complex128)
-    out[:2] = v
-    return out
+    return _attach(v)
+
+
+def _normalized(v: np.ndarray, weight) -> np.ndarray:
+    """v / sqrt(weight) over the last axis; v unchanged where weight is 0."""
+    return v / np.sqrt(np.where(weight > 0, weight, 1.0))[..., None]
+
+
+def _evolve(psi: np.ndarray, u: np.ndarray):
+    """evolve_and_measure over stacks of states and unitaries."""
+    out = (u @ psi[..., None])[..., 0]
+    succ, fail = out[..., :2], out[..., 2:]
+    succ_w, fail_w = qlinalg.norm2(succ), qlinalg.norm2(fail)
+    p = succ_w / qlinalg.norm2(psi)
+    return p, _normalized(succ, succ_w), _normalized(fail, fail_w)
 
 
 def evolve_and_measure(state, u) -> tuple[float, np.ndarray, np.ndarray]:
@@ -233,15 +322,10 @@ def evolve_and_measure(state, u) -> tuple[float, np.ndarray, np.ndarray]:
     v = qlinalg.as_vector(state)
     if v.shape[0] != 4:
         raise ValueError(f"state must have length 4, got {v.shape[0]}")
-    weight = qlinalg.norm2(v)
-    if weight <= 1e-30:
+    if qlinalg.norm2(v) <= 1e-30:
         raise ValueError("state has zero norm")
-    out = qlinalg.apply(u, v)
-    succ, fail = out[:2], out[2:]
-    succ_w, fail_w = qlinalg.norm2(succ), qlinalg.norm2(fail)
-    succ_n = succ / math.sqrt(succ_w) if succ_w > 0 else succ
-    fail_n = fail / math.sqrt(fail_w) if fail_w > 0 else fail
-    return float(succ_w / weight), succ_n, fail_n
+    p, succ, fail = _evolve(v, qlinalg.as_matrix(u))
+    return float(p), succ, fail
 
 
 def pauli_correction(lam: int) -> np.ndarray:
@@ -250,64 +334,161 @@ def pauli_correction(lam: int) -> np.ndarray:
     return _CORRECTIONS[lam - 1].copy()
 
 
-def _require_matchable(ch: TwoQubitChannel, basis: TwoQubitBasis) -> None:
+def _pairs(a: np.ndarray, b: np.ndarray, basis: TwoQubitBasis):
+    """Coefficient pairs (c0, c1), each (N, 4), per point and outcome."""
+    if basis.kind == "bell":
+        w0 = w1 = _BELL_WEIGHTS
+    else:
+        ap, bp = basis.a_p, basis.b_p
+        w0 = np.array([ap, bp, bp, ap])
+        w1 = np.array([bp, ap, ap, bp])
+    return a[:, None] * w0, b[:, None] * w1
+
+
+def points(a, b, basis: TwoQubitBasis, mode: str, k=None) -> Points:
+    """Validate a batch of channels a|00> + b|11> and resolve K.
+
+    a and b are (N,) amplitude arrays; mode is one of K_POLICY_MODES,
+    and 'fixed' takes k as one number or an (N,) array, one K per point.
+    Points are checked in order, and the first point that fails raises
+    what a single report on it would: ValueError for amplitudes that do
+    not form a normalized state, KOutOfRangeError for a K that is not
+    finite and positive, UnteleportableChannelError for 2|ab| <= 1e-9,
+    InvalidBasisError for a degenerate basis, and KOutOfRangeError for
+    a K above some outcome's bound.
+    """
+    if mode not in K_POLICY_MODES:
+        raise ValueError(f"unknown K policy mode {mode!r}")
+    if mode == "fixed" and k is None:
+        raise ValueError("fixed K policy needs a value")
+    if mode != "fixed" and k is not None:
+        raise ValueError(f"policy {mode!r} takes no K value")
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    degenerate = basis.kind == "gbm" and (
+        abs(basis.a_p) <= DEGENERATE_TOL or abs(basis.b_p) <= DEGENERATE_TOL
+    )
+    # Every point is computed and checked, invalid ones included, whose
+    # arithmetic may overflow or produce nan; only the first failure counts.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        c0, c1 = _pairs(a, b, basis)
+        bounds = k_bound(c0, c1)
+        # nan and inf amplitudes fail the comparison too
+        bad_channel = ~(np.abs(_square(_abs(a)) + _square(_abs(b)) - 1.0) <= NORMALIZATION_TOL)
+        unentangled = 2.0 * np.abs(a * b) <= NORMALIZATION_TOL
+        fails = bad_channel | unentangled | degenerate
+        ks = np.empty(bounds.shape)
+        if mode == "fixed":
+            k_points = np.ones(a.shape) * k
+            bad_k = ~(k_points > 0.0) | (k_points == np.inf)
+            above = k_points[:, None] > bounds * (1.0 + K_BOUND_RTOL)
+            fails |= bad_k | np.logical_or.reduce(above, axis=1)
+            ks[:] = k_points[:, None]
+        elif mode == "max-global":
+            ks[:] = np.minimum.reduce(bounds, axis=1)[:, None]
+        else:
+            ks[:] = bounds
+    i = int(fails.argmax())
+    if fails[i]:
+        if bad_channel[i]:
+            TwoQubitChannel.diagonal(complex(a[i]), complex(b[i]))  # raises its own error
+        if mode == "fixed" and bad_k[i]:
+            KPolicy.fixed(float(k_points[i]))  # raises its own error
+        if unentangled[i]:
+            raise UnteleportableChannelError(
+                "channel carries no entanglement; nothing can be teleported"
+            )
+        if degenerate:
+            raise InvalidBasisError(
+                "basis coefficients too close to zero: some outcome would "
+                "never herald success"
+            )
+        lam0 = int(above[i].argmax())
+        raise KOutOfRangeError(
+            f"K={float(k_points[i])!r} exceeds the bound "
+            f"{float(bounds[i, lam0])!r} of outcome {lam0 + 1}"
+        )
+    return Points(basis, a, b, c0, c1, ks)
+
+
+def channel_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k=None) -> Points:
+    """`points` for one channel object, with a K or an (N,) array of K."""
+    ks = None if k is None else np.atleast_1d(np.asarray(k, dtype=float))
     if not ch.is_diagonal:
+        if ks is not None:
+            KPolicy.fixed(float(ks[0]))  # the first point checks its K first
         raise UnsupportedChannelError(
             "matching is implemented for channels a|00> + b|11>; "
             "this channel has off-diagonal amplitudes"
         )
-    if classify(ch) is ChannelClass.UNTELEPORTABLE:
-        raise UnteleportableChannelError(
-            "channel carries no entanglement; nothing can be teleported"
-        )
-    if basis.kind == "gbm" and (
-        abs(basis.a_p) <= DEGENERATE_TOL or abs(basis.b_p) <= DEGENERATE_TOL
-    ):
-        raise InvalidBasisError(
-            "basis coefficients too close to zero: some outcome would "
-            "never herald success"
-        )
+    n = 1 if ks is None else ks.shape[0]
+    return points(np.full(n, ch.x00), np.full(n, ch.x11), basis, mode, ks)
+
+
+def b_axis_channels(b) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (a, b) of the channels sqrt(1 - b^2)|00> + b|11>."""
+    b = np.asarray(b, dtype=float)
+    return np.sqrt(np.fmax(0.0, 1.0 - b * b)), b
+
+
+def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
+    """Closed-form per-outcome probabilities for every point.
+
+    p_alice is the chance the sender sees each outcome, p_bob the
+    conditional chance the ancilla heralds success, and p_joint their
+    product; p_joint never depends on the input amplitudes. Fidelity
+    after correction is exactly 1 on every success branch.
+    """
+    pref2 = 0.5 if pts.basis.kind == "bell" else 1.0
+    u0 = np.where(_SWAPS_INPUT, inp.beta, inp.alpha)
+    u1 = np.where(_SWAPS_INPUT, inp.alpha, inp.beta)
+    p_alice = pref2 * (_square(_abs_prod(pts.c0, u0)) + _square(_abs_prod(pts.c1, u1)))
+    p_joint = pref2 * _square(pts.k * _abs_prod(pts.c0, pts.c1))
+    return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones_like(p_joint), _total(p_joint))
+
+
+def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
+    """Run the protocol on every point by state-vector evolution.
+
+    Builds the three-qubit product states, projects them onto each
+    measurement outcome, attaches the ancilla, applies the matched
+    unitaries, reads the ancilla, and applies the Pauli corrections.
+    Reports the same fields as analytic_batch; the two must agree to
+    double precision.
+    """
+    psi_in = inp.vector()
+    channel = np.zeros(pts.a.shape + (4,), dtype=np.complex128)
+    channel[:, 0] = pts.a
+    channel[:, 3] = pts.b
+    # Input qubit most significant, as in qlinalg.tensor(psi_in, channel).
+    state = (psi_in[:, None] * channel[:, None, :]).reshape(-1, 8)
+    p_alice, receivers = project_all(state, pts.basis)
+    p_bob, success, _ = _evolve(_attach(receivers), _unitaries(pts.c0, pts.c1, pts.k))
+    corrected = (_CORRECTIONS @ success[..., None])[..., 0]
+    fidelity = _square(_abs((psi_in.conj() @ corrected[..., None])[..., 0]))
+    p_joint = p_alice * p_bob
+    return Batch(pts.k, p_alice, p_bob, p_joint, fidelity, _total(p_joint))
+
+
+def _report(batch: Batch) -> ProtocolReport:
+    """The single point of an N=1 batch as a report."""
+    rows = zip(*(field[0].tolist() for field in batch[:5]))
+    outcomes = tuple(OutcomeReport(lam, *row) for lam, row in enumerate(rows, 1))
+    return ProtocolReport(outcomes, float(batch.total[0]))
 
 
 def branch_coefficients(
     ch: TwoQubitChannel, basis: TwoQubitBasis
 ) -> tuple[tuple[complex, complex], ...]:
     """Coefficient pair (c0, c1) for each outcome (see module doc)."""
-    _require_matchable(ch, basis)
-    a, b = ch.x00, ch.x11
-    if basis.kind == "bell":
-        return ((a, b),) * 4
-    ap, bp = basis.a_p, basis.b_p
-    direct = (a * ap, b * bp)
-    crossed = (a * bp, b * ap)
-    return (direct, crossed, crossed, direct)
+    pts = channel_points(ch, basis, "max-per-outcome")
+    return tuple(zip(pts.c0[0].tolist(), pts.c1[0].tolist()))
 
 
 def optimal_k(ch: TwoQubitChannel, basis: TwoQubitBasis, lam: int) -> float:
     """Largest K valid for outcome lam of this channel and basis."""
     _check_lam(lam)
-    c0, c1 = branch_coefficients(ch, basis)[lam - 1]
-    return k_bound(c0, c1)
-
-
-def _prefactor2(basis: TwoQubitBasis) -> float:
-    return 0.5 if basis.kind == "bell" else 1.0
-
-
-def _resolve_ks(
-    policy: KPolicy, bounds: tuple[float, ...]
-) -> tuple[float, ...]:
-    if policy.mode == "fixed":
-        k = policy.k
-        for lam0, bound in enumerate(bounds):
-            if k > bound * (1.0 + K_BOUND_RTOL):
-                raise KOutOfRangeError(
-                    f"K={k!r} exceeds the bound {bound!r} of outcome {lam0 + 1}"
-                )
-        return (k,) * 4
-    if policy.mode == "max-global":
-        return (min(bounds),) * 4
-    return tuple(bounds)
+    return float(channel_points(ch, basis, "max-per-outcome").k[0, lam - 1])
 
 
 def analytic_report(
@@ -316,35 +497,8 @@ def analytic_report(
     basis: TwoQubitBasis,
     policy: KPolicy,
 ) -> ProtocolReport:
-    """Closed-form per-outcome probabilities and fidelities.
-
-    p_alice is the chance the sender sees each outcome, p_bob the
-    conditional chance the ancilla heralds success, and p_joint their
-    product; p_joint never depends on the input amplitudes. Fidelity
-    after correction is exactly 1 on every success branch.
-    """
-    _require_matchable(ch, basis)
-    pairs = branch_coefficients(ch, basis)
-    ks = _resolve_ks(policy, tuple(k_bound(c0, c1) for c0, c1 in pairs))
-    pref2 = _prefactor2(basis)
-    outcomes = []
-    total = 0.0
-    for lam0, (c0, c1) in enumerate(pairs):
-        u0, u1 = (inp.beta, inp.alpha) if _SWAPS_INPUT[lam0] else (inp.alpha, inp.beta)
-        p_alice = pref2 * (abs(c0 * u0) ** 2 + abs(c1 * u1) ** 2)
-        p_joint = pref2 * (ks[lam0] * abs(c0 * c1)) ** 2
-        outcomes.append(
-            OutcomeReport(
-                lam=lam0 + 1,
-                k_used=ks[lam0],
-                p_alice=p_alice,
-                p_bob=p_joint / p_alice,
-                p_joint=p_joint,
-                fidelity=1.0,
-            )
-        )
-        total += p_joint
-    return ProtocolReport(tuple(outcomes), total)
+    """Closed-form per-outcome probabilities and fidelities (see analytic_batch)."""
+    return _report(analytic_batch(inp, channel_points(ch, basis, policy.mode, policy.k)))
 
 
 def simulate_report(
@@ -353,41 +507,8 @@ def simulate_report(
     basis: TwoQubitBasis,
     policy: KPolicy,
 ) -> ProtocolReport:
-    """Run the protocol by brute-force state evolution.
-
-    Builds the three-qubit product state, projects each measurement
-    outcome, attaches the ancilla, applies the matched unitary, reads
-    the ancilla, and applies the Pauli correction. Reports the same
-    fields as analytic_report; the two must agree to double precision.
-    """
-    _require_matchable(ch, basis)
-    pairs = branch_coefficients(ch, basis)
-    ks = _resolve_ks(policy, tuple(k_bound(c0, c1) for c0, c1 in pairs))
-    input_vec = inp.vector()
-    total_state = qlinalg.tensor(input_vec, ch.vector())
-    outcomes = []
-    total = 0.0
-    for lam0, (c0, c1) in enumerate(pairs):
-        lam = lam0 + 1
-        p_alice, receiver = project(total_state, basis, lam)
-        p_bob, success, _ = evolve_and_measure(
-            attach_ancilla(receiver), matched_unitary(c0, c1, ks[lam0])
-        )
-        corrected = pauli_correction(lam) @ success
-        fidelity = abs(np.vdot(input_vec, corrected)) ** 2
-        p_joint = p_alice * p_bob
-        outcomes.append(
-            OutcomeReport(
-                lam=lam,
-                k_used=ks[lam0],
-                p_alice=float(p_alice),
-                p_bob=float(p_bob),
-                p_joint=float(p_joint),
-                fidelity=float(fidelity),
-            )
-        )
-        total += p_joint
-    return ProtocolReport(tuple(outcomes), float(total))
+    """Run the protocol by brute-force state evolution (see simulate_batch)."""
+    return _report(simulate_batch(inp, channel_points(ch, basis, policy.mode, policy.k)))
 
 
 def monte_carlo(
@@ -409,9 +530,8 @@ def monte_carlo(
     seed = operator.index(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    report = analytic_report(inp, ch, basis, policy)
-    p_alice = np.array([o.p_alice for o in report.outcomes])
-    p_bob = np.array([o.p_bob for o in report.outcomes])
+    batch = analytic_batch(inp, channel_points(ch, basis, policy.mode, policy.k))
+    p_alice, p_bob = batch.p_alice[0], batch.p_bob[0]
     rng = np.random.default_rng(seed)
     draws = rng.random((trials, 2))
     cuts = np.cumsum(p_alice)
@@ -436,20 +556,31 @@ def monte_carlo(
 B_LO = 1e-6
 
 
-def fig1_data(steps: int) -> list[Fig1Row]:
-    """Success-probability curves versus channel coefficient b.
-
-    For each b on a uniform grid from near 0 to 1/sqrt(2) (with
-    a = sqrt(1 - b^2)), tabulates the per-outcome-optimal total 2*b^2
-    and the fixed-K Bell-basis totals 2*(ab)^2 for K=1 and 4*(ab)^2
-    for K=sqrt(2).
-    """
+def fig1_grid(steps: int) -> np.ndarray:
+    """The b grid of fig1: `steps` points from B_LO to 1/sqrt(2)."""
     steps = operator.index(steps)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    rows = []
-    for b in np.linspace(B_LO, 1.0 / math.sqrt(2.0), steps):
-        b2 = float(b) * float(b)
-        a2 = 1.0 - b2
-        rows.append(Fig1Row(float(b), 2.0 * b2, 2.0 * a2 * b2, 4.0 * a2 * b2))
-    return rows
+    return np.linspace(B_LO, 1.0 / math.sqrt(2.0), steps)
+
+
+def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Success-probability curves at the channel coefficients b.
+
+    With a = sqrt(1 - b^2), tabulates the Bell-basis total with each
+    outcome at its own maximal K (2*b^2), at K=1 (2*(ab)^2), and at
+    K=sqrt(2), which doubles the K=1 total. Returns the columns
+    (b, p_opt, p_k1, p_ksqrt2).
+    """
+    a, b = b_axis_channels(b)
+    h = 1.0 / math.sqrt(2.0)
+    inp, bell = PureInputState(h, h), standard_bell()
+    p_opt = analytic_batch(inp, points(a, b, bell, "max-per-outcome")).total
+    p_k1 = analytic_batch(inp, points(a, b, bell, "fixed", 1.0)).total
+    return b, p_opt, p_k1, 2.0 * p_k1
+
+
+def fig1_data(steps: int) -> list[Fig1Row]:
+    """The rows of fig1_columns over fig1_grid(steps)."""
+    columns = fig1_columns(fig1_grid(steps))
+    return list(map(Fig1Row, *(column.tolist() for column in columns)))

@@ -68,10 +68,15 @@ def apply(m, v) -> np.ndarray:
     return m @ v
 
 
-def norm2(v) -> float:
-    """Squared Euclidean norm."""
+def norm2(v):
+    """Squared Euclidean norm over the last axis.
+
+    A 1-D vector gives a scalar, a stack of vectors an array of norms.
+    The product goes through matmul, which rounds each norm exactly as
+    np.vdot does for a single vector.
+    """
     v = np.asarray(v, dtype=np.complex128)
-    return float(np.real(np.vdot(v, v)))
+    return (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real[()]
 
 
 def is_normalized(v, tol: float = DEFAULT_UNITARITY_TOL) -> bool:

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from telematch.cli import SEED_ENV, RunConfig, main
+from telematch.cli import MAX_STEPS, SEED_ENV, RunConfig, main
 
 
 def run_cli(argv):
@@ -393,3 +394,106 @@ def test_fig1_unwritable_path_exits_one(tmp_path, capsys):
 def test_fig1_rejects_single_step(capsys):
     code, _, _ = run_capture(capsys, ["fig1", "--steps", "1"])
     assert code == 1
+
+
+# stdout of the release before the batched kernels, pinned byte for byte
+GOLDEN_SWEEP_B = """\
+b,analytic_total,simulated_total
+0.05,0.005,0.005
+0.18,0.0648,0.0648
+0.31,0.1922,0.1922
+0.44,0.3872,0.3872
+0.57,0.6498,0.6498
+0.7,0.98,0.979999999999999
+"""
+
+GOLDEN_SWEEP_K = """\
+k,analytic_total,simulated_total
+0.2,0.0084934656,0.0084934656
+0.525,0.0585252864,0.0585252864
+0.85,0.1534132224,0.1534132224
+1.175,0.2931572736,0.2931572736
+1.5,0.47775744,0.47775744
+"""
+
+GOLDEN_FIG1 = """\
+b,p_opt,p_k1,p_ksqrt2
+1e-06,2e-12,1.999999999998e-12,3.999999999996e-12
+0.117851963531091,0.0277781706162673,0.0273923572348741,0.0547847144697482
+0.235702927062182,0.111111739651361,0.104938830307185,0.20987766061437
+0.353553890593274,0.250000707107281,0.218750530330211,0.437501060660422
+0.471404854124365,0.444445072984028,0.345679361534139,0.691358723068278
+0.589255817655456,0.694444837281601,0.453318021268066,0.906636042536132
+0.707106781186547,1,0.5,1
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["sweep", "--param", "b", "--start", "0.05", "--stop", "0.7", "--steps", "6",
+          "--k", "max"], GOLDEN_SWEEP_B),
+        (["sweep", "--param", "k", "--start", "0.2", "--stop", "1.5", "--steps", "5",
+          "--channel", "diag:0.8,0.6i", "--basis", "gbm:0.8,0.6", "--alpha", "0.6i",
+          "--beta=-0.8"], GOLDEN_SWEEP_K),
+        (["fig1", "--steps", "7"], GOLDEN_FIG1),
+    ],
+)
+def test_grid_output_is_byte_identical_to_golden(capsys, argv, golden):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 0
+    assert err == ""
+    assert out == golden
+
+
+@pytest.mark.parametrize("command", ["run", "montecarlo"])
+@pytest.mark.parametrize("k, expected", [("-1", 2), ("0", 2), ("nan", 2), ("inf", 2), ("abc", 1)])
+def test_k_literal_exit_codes(capsys, command, k, expected):
+    code, out, err = run_capture(
+        capsys, [command, "--channel", "diag:0.8,0.6", f"--k={k}", "--format", "csv"]
+    )
+    assert code == expected
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--param", "b", "--start", "0.1", "--stop", "0.5"],
+        ["sweep", "--param", "k", "--start", "0.5", "--stop", "1", "--channel", "diag:0.8,0.6"],
+        ["fig1"],
+    ],
+)
+def test_steps_above_cap_refused_before_any_allocation(capsys, argv):
+    main(["fig1", "--steps", "2"])  # parser built and modules warm outside the trace
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_cli(argv + ["--steps", str(MAX_STEPS + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "--steps" in err
+    # a grid of that size would take at least 8 bytes per point
+    assert peak < MAX_STEPS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the last point, b = 0, carries no entanglement
+        ["sweep", "--param", "b", "--start", "0.5", "--stop", "0", "--steps", "6"],
+        # the last point, K = 1.5, exceeds the bound 1.25
+        ["sweep", "--param", "k", "--start", "0.5", "--stop", "1.5", "--steps", "5",
+         "--channel", "diag:0.8,0.6"],
+    ],
+)
+def test_sweep_grid_with_a_failing_point_exits_two_and_prints_nothing(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err

@@ -1,8 +1,11 @@
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telematch import qlinalg
 from telematch.channel import (
@@ -13,9 +16,11 @@ from telematch.channel import (
 from telematch.measurement import InvalidBasisError, generalized_bell, standard_bell
 from telematch.protocol import (
     B_LO,
+    K_POLICY_MODES,
     KOutOfRangeError,
     KPolicy,
     UnsupportedChannelError,
+    analytic_batch,
     analytic_report,
     attach_ancilla,
     branch_coefficients,
@@ -26,6 +31,8 @@ from telematch.protocol import (
     monte_carlo,
     optimal_k,
     pauli_correction,
+    points,
+    simulate_batch,
     simulate_report,
 )
 
@@ -602,3 +609,75 @@ def test_fig1_rows_match_protocol_reports():
 def test_fig1_optimal_curve_dominates_fixed_k():
     for row in fig1_data(500):
         assert row.p_opt > row.p_k1
+
+
+# ------------------------------------------------------- batched kernels
+
+REPORT_FIELDS = ("k_used", "p_alice", "p_bob", "p_joint", "fidelity")
+
+angle = st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05)
+phase = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+
+@st.composite
+def batches(draw):
+    """Random complex diagonal channels sharing one input, basis and K policy."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    a, b = [], []
+    for _ in range(n):
+        theta = draw(angle)
+        a.append(math.cos(theta) * cmath.exp(1j * draw(phase)))
+        b.append(math.sin(theta) * cmath.exp(1j * draw(phase)))
+    theta = draw(angle)
+    inp = PureInputState(
+        math.cos(theta) * cmath.exp(1j * draw(phase)),
+        math.sin(theta) * cmath.exp(1j * draw(phase)),
+    )
+    if draw(st.booleans()):
+        basis = standard_bell()
+    else:
+        theta = draw(angle)
+        basis = generalized_bell(math.cos(theta), math.sin(theta))
+    mode = draw(st.sampled_from(K_POLICY_MODES))
+    k = None
+    if mode == "fixed":
+        fractions = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+        bounds = points(a, b, basis, "max-global").k[:, 0]
+        k = np.array(fractions) * bounds
+    return inp, np.array(a), np.array(b), basis, mode, k
+
+
+@given(batches())
+@settings(max_examples=100, deadline=None)
+def test_batch_elements_match_single_point_reports(case):
+    inp, a, b, basis, mode, k = case
+    pts = points(a, b, basis, mode, k)
+    ana, sim = analytic_batch(inp, pts), simulate_batch(inp, pts)
+    for i in range(len(a)):
+        ch = TwoQubitChannel.diagonal(a[i], b[i])
+        policy = KPolicy(mode, None if k is None else k[i])
+        for batch, report in (
+            (ana, analytic_report(inp, ch, basis, policy)),
+            (sim, simulate_report(inp, ch, basis, policy)),
+        ):
+            assert abs(batch.total[i] - report.total) <= 1e-12
+            for lam0, o in enumerate(report.outcomes):
+                for field in REPORT_FIELDS:
+                    assert abs(getattr(batch, field)[i, lam0] - getattr(o, field)) <= 1e-12
+        assert abs(ana.total[i] - sim.total[i]) <= 1e-12
+        for field in REPORT_FIELDS:
+            assert np.max(np.abs(getattr(ana, field)[i] - getattr(sim, field)[i])) <= 1e-12
+        assert np.max(np.abs(sim.fidelity[i] - 1.0)) <= 1e-12
+
+
+def test_points_first_failing_point_decides_the_error():
+    bell = standard_bell()
+    a, b = np.array([0.8, 1.0, 0.6]), np.array([0.6, 0.0, 0.8])
+    with pytest.raises(UnteleportableChannelError):
+        points(a, b, bell, "fixed", np.array([1.0, 1.0, 5.0]))
+    with pytest.raises(KOutOfRangeError, match="exceeds"):
+        points(a, b, bell, "fixed", np.array([5.0, 1.0, 1.0]))
+    with pytest.raises(KOutOfRangeError, match="finite positive"):
+        points(a, b, bell, "fixed", np.array([-1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        points(np.array([0.9, 1.0]), np.array([0.9, 0.0]), bell, "max-global")
