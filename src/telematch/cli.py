@@ -29,6 +29,7 @@ from .channel import (
 )
 from .measurement import InvalidBasisError, TwoQubitBasis, parse_basis
 from .protocol import (
+    MAX_TRIALS,
     KOutOfRangeError,
     KPolicy,
     UnsupportedChannelError,
@@ -229,8 +230,8 @@ def cmd_run(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     config = _config(RunConfig.from_args, args)
-    if config.trials < 1:
-        raise _UsageError(f"--trials must be >= 1, got {config.trials}")
+    if not 1 <= config.trials <= MAX_TRIALS:
+        raise _UsageError(f"--trials must be between 1 and {MAX_TRIALS}, got {config.trials}")
     inp, ch, basis, policy = _config(config.resolve)
     ana = analytic_report(inp, ch, basis, policy)
     mc = monte_carlo(inp, ch, basis, policy, config.trials, config.seed)
@@ -247,6 +248,7 @@ def cmd_montecarlo(args) -> int:
     else:
         print(f"trials: {mc.trials}")
         print(f"seed: {mc.seed}")
+        print(f"sampler: {mc.sampler}")
         print(f"outcome counts: {' '.join(str(n) for n in mc.outcome_counts)}")
         print(f"success counts: {' '.join(str(n) for n in mc.success_counts)}")
         print(f"analytic total: {_fmt(ana.total)}")
@@ -260,6 +262,11 @@ def cmd_sweep(args) -> int:
     basis = _config(parse_basis, args.basis)
     inp = _config(_input_state, args)
     _check_steps(args.steps, 1)
+    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(value):
+            # a non-finite K is out of range (exit 2), a non-finite b bad input (exit 1)
+            error = KOutOfRangeError if args.param == "k" else _UsageError
+            raise error(f"{flag} must be finite, got {value!r}")
     grid = np.linspace(args.start, args.stop, args.steps)
     if args.param == "k":
         if args.channel is None:

@@ -70,6 +70,9 @@ DEGENERATE_TOL = 1e-9
 
 K_POLICY_MODES = ("fixed", "max-global", "max-per-outcome")
 
+# Most trials monte_carlo takes: numpy draws the counts as int64.
+MAX_TRIALS = 2**63 - 1
+
 PAULI = {
     "I": np.eye(2, dtype=np.complex128),
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -116,7 +119,7 @@ class KPolicy:
                 raise ValueError("fixed K policy needs a value")
             k = float(self.k)
             if not math.isfinite(k) or k <= 0.0:
-                raise KOutOfRangeError(f"K must be a finite positive number, got {self.k!r}")
+                raise KOutOfRangeError(f"K must be a finite positive number, got {k!r}")
             object.__setattr__(self, "k", k)
         elif self.k is not None:
             raise ValueError(f"policy {self.mode!r} takes no K value")
@@ -176,6 +179,7 @@ class MonteCarloReport:
     success_counts: tuple[int, int, int, int]
     p_hat: float
     std_err: float
+    sampler: str = "multinomial-binomial"
 
 
 class Fig1Row(NamedTuple):
@@ -278,7 +282,7 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     bound = float(k_bound(c0, c1))
     if not math.isfinite(k) or k <= 0.0 or k > bound * (1.0 + K_BOUND_RTOL):
         raise KOutOfRangeError(
-            f"K={k!r} outside (0, {bound!r}] for coefficients ({c0!r}, {c1!r})"
+            f"K={k!r} outside (0, {bound!r}] for coefficients ({complex(c0)!r}, {complex(c1)!r})"
         )
     return _unitaries(np.complex128(c0), np.complex128(c1), k)
 
@@ -519,35 +523,26 @@ def monte_carlo(
     trials: int,
     seed: int,
 ) -> MonteCarloReport:
-    """Sample the protocol: draw an outcome, then draw herald success.
+    """Sample the protocol from its sufficient statistics.
 
-    Outcomes follow the analytic p_alice distribution and success the
-    conditional p_bob, using an explicitly seeded generator; the same
-    seed always reproduces the same counts. std_err is the binomial
-    standard error of p_hat.
+    Outcome counts ~ Multinomial(trials, p_alice), then success counts
+    ~ Binomial(count, p_bob) per outcome: the law of `trials` runs, at
+    a cost independent of trials. A seed always reproduces its counts.
+    std_err is the binomial standard error of p_hat.
     """
     trials = operator.index(trials)
     seed = operator.index(seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     batch = analytic_batch(inp, channel_points(ch, basis, policy.mode, policy.k))
-    p_alice, p_bob = batch.p_alice[0], batch.p_bob[0]
     rng = np.random.default_rng(seed)
-    draws = rng.random((trials, 2))
-    cuts = np.cumsum(p_alice)
-    idx = np.minimum(np.searchsorted(cuts, draws[:, 0], side="right"), 3)
-    succeeded = draws[:, 1] < p_bob[idx]
-    outcome_counts = np.bincount(idx, minlength=4)
-    success_counts = np.bincount(idx[succeeded], minlength=4)
-    p_hat = float(succeeded.sum()) / trials
+    outcomes = rng.multinomial(trials, batch.p_alice[0])
+    # binomial refuses the p_bob of 1 + 1ulp that perfect channels give
+    successes = rng.binomial(outcomes, np.minimum(batch.p_bob[0], 1.0))
+    p_hat = int(successes.sum()) / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return MonteCarloReport(
-        trials=trials,
-        seed=seed,
-        outcome_counts=tuple(int(n) for n in outcome_counts),
-        success_counts=tuple(int(n) for n in success_counts),
-        p_hat=p_hat,
-        std_err=std_err,
+        trials, seed, tuple(outcomes.tolist()), tuple(successes.tolist()), p_hat, std_err
     )
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,18 @@ def test_montecarlo_text_report(capsys):
     assert code == 0
     assert "outcome counts:" in out
     assert "empirical total:" in out
+    assert "sampler: multinomial-binomial" in out.splitlines()
+
+
+def test_montecarlo_trials_above_int64_exits_one_with_one_line(capsys):
+    code, out, err = run_capture(
+        capsys, ["montecarlo", "--channel", "diag:0.8,0.6", "--trials", str(2**63)]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"telematch: error: --trials must be between 1 and {2**63 - 1}, got {2**63}"
+    ]
 
 
 def test_sweep_k_grid(capsys):
@@ -349,6 +362,28 @@ def test_sweep_empty_grid_exits_one(capsys):
     )
     assert code == 1
     assert "--steps" in err
+
+
+@pytest.mark.parametrize(
+    "param, extra, code",
+    [
+        pytest.param("b", [], 1, id="b"),
+        pytest.param("k", ["--channel", "diag:0.8,0.6"], 2, id="k"),
+    ],
+)
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        pytest.param(["--start", "0.3", "--stop", "inf"], "--stop must be finite, got inf", id="stop-inf"),
+        pytest.param(["--start", "nan", "--stop", "0.5"], "--start must be finite, got nan", id="start-nan"),
+    ],
+)
+def test_sweep_non_finite_bound_is_one_error_line(capsys, param, extra, code, bounds, message):
+    # a non-finite b is a bad input (exit 1), a non-finite K out of range (exit 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warnings would reach stderr
+        result = run_capture(capsys, ["sweep", "--param", param, *bounds, "--steps", "3", *extra])
+    assert result == (code, "", f"telematch: error: {message}\n")
 
 
 def test_sweep_k_above_bound_exits_two(capsys):

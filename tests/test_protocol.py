@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from telematch.measurement import InvalidBasisError, generalized_bell, standard_
 from telematch.protocol import (
     B_LO,
     K_POLICY_MODES,
+    MAX_TRIALS,
     KOutOfRangeError,
     KPolicy,
     UnsupportedChannelError,
@@ -93,6 +95,13 @@ def test_kpolicy_fixed_rejects_nonpositive(bad_k):
         KPolicy.fixed(bad_k)
 
 
+def test_kpolicy_message_shows_plain_numbers():
+    with pytest.raises(KOutOfRangeError) as info:
+        KPolicy.fixed(np.float64(-1))
+    assert "np." not in str(info.value)
+    assert "got -1.0" in str(info.value)
+
+
 def test_kpolicy_mode_validation():
     with pytest.raises(ValueError, match="mode"):
         KPolicy("fastest")
@@ -140,6 +149,13 @@ def test_matched_unitary_rejects_k_outside_range():
         matched_unitary(0.8, 0.6, -0.5)
     with pytest.raises(KOutOfRangeError):
         matched_unitary(0.8, 0.6, float("nan"))
+
+
+def test_matched_unitary_message_shows_plain_numbers():
+    with pytest.raises(KOutOfRangeError) as info:
+        matched_unitary(np.complex128(0.8), np.float64(0.6), np.float64(2.0))
+    assert "np." not in str(info.value)
+    assert "((0.8+0j), (0.6+0j))" in str(info.value)
 
 
 def test_matched_unitary_accepts_k_at_bound():
@@ -575,6 +591,110 @@ def test_monte_carlo_validates_arguments():
         monte_carlo(inp, ch, standard_bell(), KPolicy.fixed(1.0), 10.5, 1)
     mc = monte_carlo(inp, ch, standard_bell(), KPolicy.fixed(1.0), 1, 1)
     assert mc.p_hat in (0.0, 1.0)
+
+
+def test_monte_carlo_perfect_channel_succeeds_at_per_outcome_k():
+    # p_bob comes out an ulp above 1 here, as under max-global
+    mc = monte_carlo(
+        PureInputState(H, H),
+        TwoQubitChannel.diagonal(H, H),
+        standard_bell(),
+        KPolicy.max_per_outcome(),
+        10**6,
+        13,
+    )
+    assert mc.p_hat == 1.0
+    assert mc.success_counts == mc.outcome_counts
+
+
+def test_monte_carlo_refuses_trials_above_int64():
+    inp = PureInputState(H, H)
+    ch = TwoQubitChannel.diagonal(0.8, 0.6)
+    assert MAX_TRIALS == 2**63 - 1
+    with pytest.raises(ValueError, match="trials"):
+        monte_carlo(inp, ch, standard_bell(), KPolicy.fixed(1.0), 2**63, 1)
+
+
+def test_monte_carlo_cost_does_not_grow_with_trials():
+    inp = PureInputState(0.6, 0.8)
+    ch = TwoQubitChannel.diagonal(0.8, 0.6)
+    monte_carlo(inp, ch, standard_bell(), KPolicy.fixed(1.0), 10, 1)  # warm outside the trace
+    tracemalloc.start()
+    try:
+        mc = monte_carlo(inp, ch, standard_bell(), KPolicy.fixed(1.0), 10**12, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(mc.outcome_counts) == mc.trials == 10**12
+    assert all(0 <= s <= n for s, n in zip(mc.success_counts, mc.outcome_counts))
+    assert abs(mc.p_hat - 0.4608) <= 4.0 * mc.std_err
+    assert mc.sampler == "multinomial-binomial"
+    assert peak < 100_000
+
+
+def _per_trial_counts(inp, ch, basis, policy, trials, seed):
+    """The former sampler, one outcome draw and one herald draw per
+    trial: a reference for the distribution of monte_carlo's counts."""
+    rep = analytic_report(inp, ch, basis, policy)
+    p_alice = np.array([o.p_alice for o in rep.outcomes])
+    p_bob = np.array([o.p_bob for o in rep.outcomes])
+    draws = np.random.default_rng(seed).random((trials, 2))
+    idx = np.minimum(np.searchsorted(np.cumsum(p_alice), draws[:, 0], side="right"), 3)
+    succeeded = draws[:, 1] < p_bob[idx]
+    return np.bincount(idx, minlength=4), np.bincount(idx[succeeded], minlength=4)
+
+
+def _chi2_sf(x, dof):
+    """P(X > x) for X chi-square distributed with integer dof."""
+    h = x / 2.0
+    if dof % 2 == 0:
+        return math.exp(-h) * sum(h**j / math.factorial(j) for j in range(dof // 2))
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * sum(
+        h ** (j + 0.5) / math.gamma(j + 1.5) for j in range(dof // 2)
+    )
+
+
+def test_chi2_sf_reference_values():
+    # upper quantiles from standard chi-square tables
+    for x, dof, p in [(3.841459, 1, 0.05), (9.210340, 2, 0.01), (16.26624, 3, 0.001),
+                      (24.32189, 7, 0.001), (14.06714, 7, 0.05)]:
+        assert _chi2_sf(x, dof) == pytest.approx(p, rel=1e-5)
+
+
+# Significance level of the two-sample chi-square test below.
+CHI2_ALPHA = 1e-3
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [KPolicy.fixed(1.0), KPolicy.max_global(), KPolicy.max_per_outcome()],
+    ids=lambda policy: policy.mode,
+)
+@pytest.mark.parametrize(
+    "channel, basis",
+    [
+        pytest.param((0.8, 0.6), standard_bell(), id="bell"),
+        pytest.param((0.8, 0.6), generalized_bell(0.6, 0.8), id="gbm"),
+        pytest.param((H, H), standard_bell(), id="psi+"),
+    ],
+)
+def test_monte_carlo_matches_per_trial_sampler_in_distribution(channel, basis, policy):
+    inp, ch, trials = PureInputState(0.6, 0.8), TwoQubitChannel.diagonal(*channel), 200_000
+    old_outcomes, old_successes = _per_trial_counts(inp, ch, basis, policy, trials, 101)
+    mc = monte_carlo(inp, ch, basis, policy, trials, 202)
+    new_outcomes, new_successes = np.array(mc.outcome_counts), np.array(mc.success_counts)
+    # a 2 x 8 table: per sampler, successes and failures of each outcome
+    table = np.array(
+        [
+            np.concatenate([old_successes, old_outcomes - old_successes]),
+            np.concatenate([new_successes, new_outcomes - new_successes]),
+        ],
+        dtype=float,
+    )
+    table = table[:, table.sum(axis=0) > 0]  # drop cells neither sampler reached
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    stat = float(((table - expected) ** 2 / expected).sum())
+    assert _chi2_sf(stat, table.shape[1] - 1) > CHI2_ALPHA
 
 
 # ------------------------------------------------------------ fig1 data
