@@ -22,6 +22,7 @@ from .channel import (
     parse_complex,
 )
 from .measurement import (
+    DegenerateBasisError,
     InvalidBasisError,
     TwoQubitBasis,
     branch_operators,
@@ -62,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Batch",
     "ChannelClass",
+    "DegenerateBasisError",
     "Fig1Row",
     "InvalidBasisError",
     "KOutOfRangeError",
@@ -75,12 +77,13 @@ __all__ = [
     "TwoQubitChannel",
     "UnsupportedChannelError",
     "UnteleportableChannelError",
+    "__version__",
     "analytic_batch",
     "analytic_report",
     "attach_ancilla",
     "branch_coefficients",
-    "channel_points",
     "branch_operators",
+    "channel_points",
     "classify",
     "concurrence",
     "cpm",
@@ -101,5 +104,4 @@ __all__ = [
     "simulate_batch",
     "simulate_report",
     "standard_bell",
-    "__version__",
 ]

@@ -17,6 +17,7 @@ channel is deterministic, probabilistic, or impossible.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,10 @@ def _coerce_amplitudes(obj, names) -> None:
         if not (np.isfinite(z.real) and np.isfinite(z.imag)):
             raise ValueError(f"amplitude {name} must be finite")
         object.__setattr__(obj, name, z)
-        total += abs(z) ** 2
+        try:
+            total += abs(z) ** 2
+        except OverflowError:  # a modulus above about 1e154
+            total = math.inf
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(
             f"amplitudes must be normalized: sum of squared moduli is {total!r}"

@@ -1,14 +1,16 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for usage or literal parse problems, 2 when
-the requested computation is impossible (unteleportable channel, K out
-of range, degenerate basis). Numbers print with 15 significant digits.
+Exit codes follow the class of the error, wherever it is raised: 0 on
+success; 2 when the request is impossible physics, that is
+KOutOfRangeError, UnteleportableChannelError, UnsupportedChannelError
+or DegenerateBasisError; 1 for any other ValueError (a bad literal or
+inconsistent options) and for OSError. Numbers print with 15
+significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -17,7 +19,6 @@ import sys
 import numpy as np
 
 from .channel import (
-    TwoQubitChannel,
     UnteleportableChannelError,
     PureInputState,
     classify,
@@ -27,7 +28,7 @@ from .channel import (
     parse_channel,
     parse_complex,
 )
-from .measurement import InvalidBasisError, TwoQubitBasis, parse_basis
+from .measurement import DegenerateBasisError, parse_basis
 from .protocol import (
     MAX_TRIALS,
     KOutOfRangeError,
@@ -42,7 +43,6 @@ from .protocol import (
     monte_carlo,
     points,
     simulate_batch,
-    simulate_report,
 )
 
 EXIT_OK = 0
@@ -61,10 +61,6 @@ MAX_STEPS = 100_000
 FIG1_BLOCK = 1024
 
 
-class _UsageError(Exception):
-    """Bad literals or inconsistent options, found before any physics runs."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; this tool reserves 2 for domain errors
     def error(self, message):
@@ -76,22 +72,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".15g")
 
 
-def _config(fn, *args):
-    """Run a parsing/validation step, mapping failures to usage errors.
-
-    A K out of range stays a domain error, whichever step finds it.
-    """
-    try:
-        return fn(*args)
-    except KOutOfRangeError:
-        raise
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _check_steps(steps: int, least: int) -> None:
     if not least <= steps <= MAX_STEPS:
-        raise _UsageError(f"--steps must be between {least} and {MAX_STEPS}, got {steps}")
+        raise ValueError(f"--steps must be between {least} and {MAX_STEPS}, got {steps}")
 
 
 def _write_rows(columns, out) -> None:
@@ -119,46 +102,13 @@ def _resolve_seed(args) -> int:
         raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One protocol invocation: raw literals plus sampling knobs.
-
-    resolve() parses every literal into domain objects, so a bad flag
-    aborts the command before any physics runs.
-    """
-
-    channel: str
-    basis: str = "bell"
-    alpha: str | None = None
-    beta: str | None = None
-    k: str = "max"
-    trials: int = 100000
-    seed: int = 0
-    format: str = "text"
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            channel=args.channel,
-            basis=args.basis,
-            alpha=args.alpha,
-            beta=args.beta,
-            k=args.k,
-            trials=getattr(args, "trials", 100000),
-            seed=_resolve_seed(args) if hasattr(args, "seed") else 0,
-            format=args.format,
-        )
-
-    def resolve(self) -> tuple[PureInputState, TwoQubitChannel, TwoQubitBasis, KPolicy]:
-        inp = _input_state(self)
-        ch = parse_channel(self.channel)
-        basis = parse_basis(self.basis)
-        policy = KPolicy.parse(self.k)
-        return inp, ch, basis, policy
+def _literals(args):
+    """The input state, channel, basis and K policy that run and montecarlo name."""
+    return _input_state(args), parse_channel(args.channel), parse_basis(args.basis), KPolicy.parse(args.k)
 
 
 def cmd_analyze(args) -> int:
-    ch = _config(parse_channel, args.channel)
+    ch = parse_channel(args.channel)
     x = cpm(ch)
     cls = classify(ch)
     c = concurrence(ch)
@@ -175,66 +125,42 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _report_rows(source: str, report) -> list[list[str]]:
-    rows = []
-    for o in report.outcomes:
-        rows.append(
-            [
-                source,
-                str(o.lam),
-                _fmt(o.k_used),
-                _fmt(o.p_alice),
-                _fmt(o.p_bob),
-                _fmt(o.p_joint),
-                _fmt(o.fidelity),
-            ]
-        )
-    return rows
-
-
-def _max_abs_diff(ana, sim) -> float:
-    worst = abs(ana.total - sim.total)
-    for x, y in zip(ana.outcomes, sim.outcomes):
-        for field in ("p_alice", "p_bob", "p_joint", "fidelity"):
-            worst = max(worst, abs(getattr(x, field) - getattr(y, field)))
-    return worst
+def _outcome_rows(batch):
+    """(lam, k_used, p_alice, p_bob, p_joint, fidelity) per outcome of the first point."""
+    return enumerate(zip(*(field[0].tolist() for field in batch[:5])), 1)
 
 
 def cmd_run(args) -> int:
-    config = _config(RunConfig.from_args, args)
-    inp, ch, basis, policy = _config(config.resolve)
-    ana = analytic_report(inp, ch, basis, policy)
-    sim = simulate_report(inp, ch, basis, policy)
-    diff = _max_abs_diff(ana, sim)
-    if config.format == "csv":
+    inp, ch, basis, policy = _literals(args)
+    pts = channel_points(ch, basis, policy.mode, policy.k)
+    ana, sim = analytic_batch(inp, pts), simulate_batch(inp, pts)
+    diff = max(float(np.max(np.abs(x - y))) for x, y in zip(ana, sim))
+    reports = (("analytic", ana), ("simulated", sim))
+    if args.format == "csv":
         print("source,lam,k_used,p_alice,p_bob,p_joint,fidelity,total,max_abs_diff")
-        for row in _report_rows("analytic", ana):
-            print(",".join(row + [_fmt(ana.total), _fmt(diff)]))
-        for row in _report_rows("simulated", sim):
-            print(",".join(row + [_fmt(sim.total), _fmt(diff)]))
+        for name, batch in reports:
+            for lam, row in _outcome_rows(batch):
+                print(",".join([name, str(lam), *map(_fmt, row), _fmt(batch.total[0]), _fmt(diff)]))
     else:
         header = f"{'outcome':>7}  {'k_used':>17}  {'p_alice':>17}  {'p_bob':>17}  {'p_joint':>17}  {'fidelity':>17}"
-        for name, report in (("analytic", ana), ("simulated", sim)):
+        for name, batch in reports:
             print(f"{name}:")
             print(header)
-            for o in report.outcomes:
-                print(
-                    f"{o.lam:>7}  {_fmt(o.k_used):>17}  {_fmt(o.p_alice):>17}  "
-                    f"{_fmt(o.p_bob):>17}  {_fmt(o.p_joint):>17}  {_fmt(o.fidelity):>17}"
-                )
-            print(f"total success probability: {_fmt(report.total)}")
+            for lam, row in _outcome_rows(batch):
+                print(f"{lam:>7}  " + "  ".join(f"{_fmt(x):>17}" for x in row))
+            print(f"total success probability: {_fmt(batch.total[0])}")
         print(f"max |analytic - simulated|: {_fmt(diff)}")
         print("note: total success probability does not depend on the input state")
     return EXIT_OK
 
 
 def cmd_montecarlo(args) -> int:
-    config = _config(RunConfig.from_args, args)
-    if not 1 <= config.trials <= MAX_TRIALS:
-        raise _UsageError(f"--trials must be between 1 and {MAX_TRIALS}, got {config.trials}")
-    inp, ch, basis, policy = _config(config.resolve)
+    seed = _resolve_seed(args)
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
+    inp, ch, basis, policy = _literals(args)
     ana = analytic_report(inp, ch, basis, policy)
-    mc = monte_carlo(inp, ch, basis, policy, config.trials, config.seed)
+    mc = monte_carlo(inp, ch, basis, policy, args.trials, seed)
     diff = mc.p_hat - ana.total
     if diff == 0.0:
         z = 0.0
@@ -242,7 +168,7 @@ def cmd_montecarlo(args) -> int:
         z = math.copysign(math.inf, diff)
     else:
         z = diff / mc.std_err
-    if config.format == "csv":
+    if args.format == "csv":
         print("analytic,empirical,stderr,z")
         print(",".join([_fmt(ana.total), _fmt(mc.p_hat), _fmt(mc.std_err), _fmt(z)]))
     else:
@@ -259,24 +185,25 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    basis = _config(parse_basis, args.basis)
-    inp = _config(_input_state, args)
+    basis = parse_basis(args.basis)
+    inp = _input_state(args)
     _check_steps(args.steps, 1)
     for flag, value in (("--start", args.start), ("--stop", args.stop)):
         if not math.isfinite(value):
             # a non-finite K is out of range (exit 2), a non-finite b bad input (exit 1)
-            error = KOutOfRangeError if args.param == "k" else _UsageError
+            error = KOutOfRangeError if args.param == "k" else ValueError
             raise error(f"{flag} must be finite, got {value!r}")
     grid = np.linspace(args.start, args.stop, args.steps)
     if args.param == "k":
         if args.channel is None:
-            raise _UsageError("sweeping k needs --channel")
-        ch = _config(parse_channel, args.channel)
-        pts = channel_points(ch, basis, "fixed", grid)
+            raise ValueError("sweeping k needs --channel")
+        if args.k != "max":  # the default, which a K sweep ignores
+            raise ValueError("sweeping k takes K from the grid; drop --k")
+        pts = channel_points(parse_channel(args.channel), basis, "fixed", grid)
     else:
         if args.channel is not None:
-            raise _UsageError("sweeping b derives the channel; drop --channel")
-        policy = _config(KPolicy.parse, args.k)
+            raise ValueError("sweeping b derives the channel; drop --channel")
+        policy = KPolicy.parse(args.k)
         pts = points(*b_axis_channels(grid), basis, policy.mode, policy.k)
     ana = analytic_batch(inp, pts).total
     sim = simulate_batch(inp, pts).total
@@ -302,14 +229,14 @@ def cmd_fig1(args) -> int:
     return EXIT_OK
 
 
-def _add_state_options(sub) -> None:
+def _add_state_options(sub, k_default_note: str = "default max") -> None:
     sub.add_argument("--basis", default="bell", help="measurement basis: bell or gbm:a,b")
     sub.add_argument("--alpha", default=None, help="input amplitude of |0> (default 1/sqrt(2))")
     sub.add_argument("--beta", default=None, help="input amplitude of |1> (default 1/sqrt(2))")
     sub.add_argument(
         "--k",
         default="max",
-        help="matching parameter: a number, 'max', or 'per-outcome' (default max)",
+        help=f"matching parameter: a number, 'max', or 'per-outcome' ({k_default_note})",
     )
 
 
@@ -350,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--channel", default=None, help="channel literal (k sweeps only)")
-    _add_state_options(p)
+    _add_state_options(p, "default max; b sweeps only")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fig1", help="success-probability comparison curves over b")
@@ -370,16 +297,16 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"telematch: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (KOutOfRangeError, UnteleportableChannelError, UnsupportedChannelError, InvalidBasisError) as exc:
+    # the class of an error sets the exit code, wherever it was raised
+    except (
+        KOutOfRangeError,
+        UnteleportableChannelError,
+        UnsupportedChannelError,
+        DegenerateBasisError,
+    ) as exc:
         print(f"telematch: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"telematch: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"telematch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

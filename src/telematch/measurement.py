@@ -33,6 +33,10 @@ class InvalidBasisError(ValueError):
     """Raised when basis coefficients do not describe a valid basis."""
 
 
+class DegenerateBasisError(InvalidBasisError):
+    """Raised for a valid basis in which some outcome never heralds success."""
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitBasis:
     """Orthonormal two-qubit measurement basis.
@@ -71,6 +75,8 @@ class TwoQubitBasis:
 
 def _check_lam(lam: int) -> None:
     if lam not in (1, 2, 3, 4):
+        if isinstance(lam, np.generic):
+            lam = lam.item()  # 7, not np.int64(7)
         raise ValueError(f"outcome label must be 1..4, got {lam!r}")
 
 

@@ -53,7 +53,7 @@ from .channel import (
     UnteleportableChannelError,
 )
 from .measurement import (
-    InvalidBasisError,
+    DegenerateBasisError,
     TwoQubitBasis,
     _check_lam,
     project_all,
@@ -358,7 +358,7 @@ def points(a, b, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     what a single report on it would: ValueError for amplitudes that do
     not form a normalized state, KOutOfRangeError for a K that is not
     finite and positive, UnteleportableChannelError for 2|ab| <= 1e-9,
-    InvalidBasisError for a degenerate basis, and KOutOfRangeError for
+    DegenerateBasisError for a degenerate basis, and KOutOfRangeError for
     a K above some outcome's bound.
     """
     if mode not in K_POLICY_MODES:
@@ -403,7 +403,7 @@ def points(a, b, basis: TwoQubitBasis, mode: str, k=None) -> Points:
                 "channel carries no entanglement; nothing can be teleported"
             )
         if degenerate:
-            raise InvalidBasisError(
+            raise DegenerateBasisError(
                 "basis coefficients too close to zero: some outcome would "
                 "never herald success"
             )
@@ -432,7 +432,8 @@ def channel_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k=None)
 def b_axis_channels(b) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes (a, b) of the channels sqrt(1 - b^2)|00> + b|11>."""
     b = np.asarray(b, dtype=float)
-    return np.sqrt(np.fmax(0.0, 1.0 - b * b)), b
+    with np.errstate(over="ignore"):  # |b| above 1e154 gives a = 0, refused by `points`
+        return np.sqrt(np.fmax(0.0, 1.0 - b * b)), b
 
 
 def analytic_batch(inp: PureInputState, pts: Points) -> Batch:

@@ -49,6 +49,15 @@ def test_input_state_rejects_nonfinite():
         PureInputState(float("nan"), 1.0)
 
 
+@pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)], ids=["square", "modulus"])
+def test_huge_amplitudes_are_unnormalized_not_overflow(huge):
+    # |z|**2, or |z| itself, leaves the double range: an error message, not OverflowError
+    with pytest.raises(ValueError, match="squared moduli is inf$"):
+        PureInputState(huge, 1.0)
+    with pytest.raises(ValueError, match="squared moduli is inf$"):
+        TwoQubitChannel.diagonal(0.5, huge)
+
+
 def test_input_state_is_frozen():
     s = PureInputState(0.6, 0.8)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from telematch.cli import MAX_STEPS, SEED_ENV, RunConfig, main
+from telematch.cli import MAX_STEPS, SEED_ENV, main
 
 
 def run_cli(argv):
@@ -33,21 +33,35 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_runconfig_resolves_literals_to_domain_objects():
-    config = RunConfig(channel="diag:0.8,0.6", basis="gbm:0.6,0.8", k="1.1")
-    inp, ch, basis, policy = config.resolve()
-    assert inp.alpha == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-    assert ch.x00 == pytest.approx(0.8, rel=1e-15)
-    assert basis.kind == "gbm"
-    assert policy.mode == "fixed"
-    assert policy.k == pytest.approx(1.1, rel=1e-15)
+def test_run_resolves_literals_to_domain_objects(capsys):
+    # a fixed K of 1.1 on the generalized basis gbm(0.6, 0.8), not on the Bell basis
+    code, out, _ = run_capture(
+        capsys,
+        ["run", "--channel", "diag:0.8,0.6", "--basis", "gbm:0.6,0.8", "--k", "1.1",
+         "--format", "csv"],
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(r[2]) for r in rows] == [1.1] * 8
+    # the default input (1/sqrt(2), 1/sqrt(2)) sees the pairs (.48, .48) and (.64, .36)
+    assert [float(r[3]) for r in rows[:2]] == pytest.approx([0.2304, 0.2696], abs=1e-12)
+    # 4(K|a b a' b'|)^2 on the generalized basis; Bell would give 2(K|ab|)^2 = 0.557568
+    assert float(rows[0][7]) == pytest.approx(4 * (1.1 * 0.8 * 0.6 * 0.6 * 0.8) ** 2, abs=1e-12)
 
 
-def test_runconfig_bad_literal_fails_before_any_physics():
-    with pytest.raises(ValueError):
-        RunConfig(channel="diag:0.8").resolve()
-    with pytest.raises(ValueError):
-        RunConfig(channel="diag:0.8,0.6", alpha="0.6", beta=None).resolve()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["run", "--channel", "diag:0.8"], id="channel"),
+        pytest.param(["run", "--channel", "diag:0.8,0.6", "--alpha", "0.6"], id="alpha-without-beta"),
+        pytest.param(["montecarlo", "--channel", "diag:0.8,0.6", "--basis", "gbm:0.6"], id="basis"),
+    ],
+)
+def test_bad_literal_fails_before_any_output(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("telematch: error: ")
 
 
 def test_no_command_is_usage_error(capsys):
@@ -532,3 +546,140 @@ def test_sweep_grid_with_a_failing_point_exits_two_and_prints_nothing(capsys, ar
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+OFF_DIAGONAL = "0,0.70710678118654752,0.70710678118654752,0"
+B_SWEEP = ["sweep", "--param", "b", "--start", "0.3", "--stop", "0.6", "--steps", "3"]
+K_SWEEP = ["sweep", "--param", "k", "--start", "0.5", "--stop", "1", "--steps", "2",
+           "--channel", "diag:0.8,0.6"]
+RUN = ["run", "--channel", "diag:0.8,0.6"]
+MONTECARLO = ["montecarlo", "--channel", "diag:0.8,0.6", "--trials", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv, env, code",
+    [
+        # a basis literal that is not a basis is bad input ...
+        pytest.param(RUN + ["--basis", "gbm:0.5,0.5"], None, 1, id="run-gbm-unnormalized"),
+        pytest.param(MONTECARLO + ["--basis", "gbm:0.5,0.5"], None, 1, id="mc-gbm-unnormalized"),
+        pytest.param(B_SWEEP + ["--basis", "gbm:0.5,0.5"], None, 1, id="sweep-gbm-unnormalized"),
+        # ... a valid basis that never heralds success is impossible physics
+        pytest.param(RUN + ["--basis", "gbm:1,0"], None, 2, id="run-gbm-degenerate"),
+        pytest.param(MONTECARLO + ["--basis", "gbm:1,0"], None, 2, id="mc-gbm-degenerate"),
+        pytest.param(B_SWEEP + ["--basis", "gbm:1,0"], None, 2, id="sweep-gbm-degenerate"),
+        pytest.param(["run", "--channel", OFF_DIAGONAL], None, 2, id="off-diagonal-channel"),
+        pytest.param(RUN + ["--k", "1.3"], None, 2, id="k-above-bound"),
+        pytest.param(RUN + ["--k", "abc"], None, 1, id="k-not-a-number"),
+        pytest.param(MONTECARLO, "many", 1, id="bad-seed-env"),
+        pytest.param(["fig1", "--out", "{tmp}/missing/curves.csv"], None, 1, id="fig1-unwritable"),
+        # K sweeps take K from the grid
+        pytest.param(K_SWEEP + ["--k", "99"], None, 1, id="k-sweep-with-k"),
+        pytest.param(K_SWEEP + ["--k", "per-outcome"], None, 1, id="k-sweep-with-k-per-outcome"),
+        # squared moduli beyond the double range
+        pytest.param(["run", "--channel", "diag:1e200,0.5"], None, 1, id="channel-overflow"),
+        pytest.param(RUN + ["--alpha", "1e200", "--beta", "1"], None, 1, id="input-overflow"),
+        pytest.param(["sweep", "--param", "b", "--start", "1e200", "--stop", "2e200", "--steps", "3"],
+                     None, 1, id="b-sweep-overflow"),
+    ],
+)
+def test_exit_code_by_error_kind(capsys, monkeypatch, tmp_path, argv, env, code):
+    if env is None:
+        monkeypatch.delenv(SEED_ENV, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV, env)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warnings would reach stderr
+        result, out, err = run_capture(capsys, argv)
+    assert result == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("telematch: error: ")
+
+
+def test_k_sweep_accepts_the_default_k(capsys):
+    # `--k max` only restates the default, so a K sweep takes it
+    code, out, _ = run_capture(capsys, K_SWEEP)
+    assert (code, out) == run_capture(capsys, K_SWEEP + ["--k=max"])[:2]
+    assert code == 0
+
+
+# stdout of the release before the CLI read its arguments directly, pinned byte for byte
+GOLDEN_RUN_BELL_TEXT = """\
+analytic:
+outcome             k_used            p_alice              p_bob            p_joint           fidelity
+      1               1.25               0.25               0.72               0.18                  1
+      2               1.25               0.25               0.72               0.18                  1
+      3               1.25               0.25               0.72               0.18                  1
+      4               1.25               0.25               0.72               0.18                  1
+total success probability: 0.72
+simulated:
+outcome             k_used            p_alice              p_bob            p_joint           fidelity
+      1               1.25               0.25               0.72               0.18                  1
+      2               1.25               0.25               0.72               0.18                  1
+      3               1.25               0.25               0.72               0.18                  1
+      4               1.25               0.25               0.72               0.18                  1
+total success probability: 0.72
+max |analytic - simulated|: 1.11022302462516e-16
+note: total success probability does not depend on the input state
+"""
+
+GOLDEN_RUN_BELL_CSV = """\
+source,lam,k_used,p_alice,p_bob,p_joint,fidelity,total,max_abs_diff
+analytic,1,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
+analytic,2,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
+analytic,3,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
+analytic,4,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
+simulated,1,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
+simulated,2,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
+simulated,3,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
+simulated,4,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
+"""
+
+GOLDEN_RUN_GBM_TEXT = """\
+analytic:
+outcome             k_used            p_alice              p_bob            p_joint           fidelity
+      1   1.62760416666667         0.25825536  0.179230975109287         0.04628736                  1
+      2   1.35567501639415         0.21643264  0.148372445117335         0.03211264                  1
+      3   1.35567501639415         0.35979264  0.0892531876138434         0.03211264                  1
+      4   1.62760416666667         0.16551936  0.279649220489978         0.04628736                  1
+total success probability: 0.1568
+simulated:
+outcome             k_used            p_alice              p_bob            p_joint           fidelity
+      1   1.62760416666667         0.25825536  0.179230975109287         0.04628736                  1
+      2   1.35567501639415         0.21643264  0.148372445117335         0.03211264                  1
+      3   1.35567501639415         0.35979264  0.0892531876138434         0.03211264                  1
+      4   1.62760416666667         0.16551936  0.279649220489978         0.04628736                  1
+total success probability: 0.1568
+max |analytic - simulated|: 4.44089209850063e-16
+note: total success probability does not depend on the input state
+"""
+
+GOLDEN_RUN_GBM_CSV = """\
+source,lam,k_used,p_alice,p_bob,p_joint,fidelity,total,max_abs_diff
+analytic,1,1.62760416666667,0.25825536,0.179230975109287,0.04628736,1,0.1568,4.44089209850063e-16
+analytic,2,1.35567501639415,0.21643264,0.148372445117335,0.03211264,1,0.1568,4.44089209850063e-16
+analytic,3,1.35567501639415,0.35979264,0.0892531876138434,0.03211264,1,0.1568,4.44089209850063e-16
+analytic,4,1.62760416666667,0.16551936,0.279649220489978,0.04628736,1,0.1568,4.44089209850063e-16
+simulated,1,1.62760416666667,0.25825536,0.179230975109287,0.04628736,1,0.1568,4.44089209850063e-16
+simulated,2,1.35567501639415,0.21643264,0.148372445117335,0.03211264,1,0.1568,4.44089209850063e-16
+simulated,3,1.35567501639415,0.35979264,0.0892531876138434,0.03211264,1,0.1568,4.44089209850063e-16
+simulated,4,1.62760416666667,0.16551936,0.279649220489978,0.04628736,1,0.1568,4.44089209850063e-16
+"""
+
+RUN_BELL = ["run", "--channel", "diag:0.8,0.6", "--k", "max"]
+RUN_GBM = ["run", "--channel", "diag:0.6+0.48i,0.64", "--basis", "gbm:0.28,0.96",
+           "--alpha", "0.6i", "--beta=-0.8", "--k", "per-outcome"]
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        pytest.param(RUN_BELL, GOLDEN_RUN_BELL_TEXT, id="bell-text"),
+        pytest.param(RUN_BELL + ["--format", "csv"], GOLDEN_RUN_BELL_CSV, id="bell-csv"),
+        pytest.param(RUN_GBM, GOLDEN_RUN_GBM_TEXT, id="gbm-text"),
+        pytest.param(RUN_GBM + ["--format", "csv"], GOLDEN_RUN_GBM_CSV, id="gbm-csv"),
+    ],
+)
+def test_run_output_is_byte_identical_to_golden(capsys, argv, golden):
+    assert run_capture(capsys, argv) == (0, golden, "")

@@ -118,6 +118,8 @@ def test_state_accessors():
         basis.state(0)
     with pytest.raises(ValueError, match="1..4"):
         basis.state(5)
+    with pytest.raises(ValueError, match="1..4, got 7$"):
+        basis.state(np.int64(7))  # the number, not np.int64(7)
 
 
 def test_branch_operators_perfect_channel_are_paulis():

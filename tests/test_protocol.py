@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from telematch.channel import (
     TwoQubitChannel,
     UnteleportableChannelError,
 )
-from telematch.measurement import InvalidBasisError, generalized_bell, standard_bell
+from telematch.measurement import (
+    DegenerateBasisError,
+    InvalidBasisError,
+    generalized_bell,
+    parse_basis,
+    standard_bell,
+)
 from telematch.protocol import (
     B_LO,
     K_POLICY_MODES,
@@ -25,6 +32,7 @@ from telematch.protocol import (
     analytic_batch,
     analytic_report,
     attach_ancilla,
+    b_axis_channels,
     branch_coefficients,
     evolve_and_measure,
     fig1_data,
@@ -238,6 +246,10 @@ def test_pauli_correction_goldens():
     assert np.array_equal(pauli_correction(4), np.array([[0, 1], [-1, 0]], dtype=complex))
     with pytest.raises(ValueError, match="1..4"):
         pauli_correction(0)
+    with pytest.raises(ValueError, match="1..4, got 7$"):
+        pauli_correction(np.int64(7))  # the number, not np.int64(7)
+    with pytest.raises(ValueError, match="1..4, got 7$"):
+        optimal_k(TwoQubitChannel.diagonal(0.8, 0.6), standard_bell(), np.int64(7))
 
 
 # ------------------------------------------------- branch coefficients
@@ -272,6 +284,26 @@ def test_branch_coefficients_reject_degenerate_basis():
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
     with pytest.raises(InvalidBasisError, match="zero"):
         branch_coefficients(ch, generalized_bell(1.0, 0.0))
+
+
+def test_b_axis_beyond_the_double_range_is_refused_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = b_axis_channels([1e200, 2e200])
+        assert a.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="normalized"):
+            points(a, b, standard_bell(), "max-global")
+
+
+def test_only_a_degenerate_basis_raises_degenerate_basis_error():
+    # a valid basis that never heralds success, not a malformed basis literal
+    a, b = np.array([0.8]), np.array([0.6])
+    with pytest.raises(DegenerateBasisError):
+        points(a, b, generalized_bell(1.0, 0.0), "max-per-outcome")
+    for bad in ("gbm:0.5,0.5", "gbm:0.6", "magic"):
+        with pytest.raises(InvalidBasisError) as info:
+            parse_basis(bad)
+        assert not isinstance(info.value, DegenerateBasisError)
 
 
 def test_optimal_k_bell_is_inverse_larger_coefficient():
