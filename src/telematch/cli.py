@@ -34,13 +34,12 @@ from .protocol import (
     KOutOfRangeError,
     KPolicy,
     UnsupportedChannelError,
+    _sample,
     analytic_batch,
-    analytic_report,
     b_axis_channels,
     channel_points,
     fig1_columns,
     fig1_grid,
-    monte_carlo,
     points,
     simulate_batch,
 )
@@ -159,9 +158,10 @@ def cmd_montecarlo(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ValueError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     inp, ch, basis, policy = _literals(args)
-    ana = analytic_report(inp, ch, basis, policy)
-    mc = monte_carlo(inp, ch, basis, policy, args.trials, seed)
-    diff = mc.p_hat - ana.total
+    ana = analytic_batch(inp, channel_points(ch, basis, policy.mode, policy.k))
+    total = float(ana.total[0])
+    mc = _sample(ana, args.trials, seed)
+    diff = mc.p_hat - total
     if diff == 0.0:
         z = 0.0
     elif mc.std_err == 0.0:
@@ -170,14 +170,14 @@ def cmd_montecarlo(args) -> int:
         z = diff / mc.std_err
     if args.format == "csv":
         print("analytic,empirical,stderr,z")
-        print(",".join([_fmt(ana.total), _fmt(mc.p_hat), _fmt(mc.std_err), _fmt(z)]))
+        print(",".join([_fmt(total), _fmt(mc.p_hat), _fmt(mc.std_err), _fmt(z)]))
     else:
         print(f"trials: {mc.trials}")
         print(f"seed: {mc.seed}")
         print(f"sampler: {mc.sampler}")
         print(f"outcome counts: {' '.join(str(n) for n in mc.outcome_counts)}")
         print(f"success counts: {' '.join(str(n) for n in mc.success_counts)}")
-        print(f"analytic total: {_fmt(ana.total)}")
+        print(f"analytic total: {_fmt(total)}")
         print(f"empirical total: {_fmt(mc.p_hat)}")
         print(f"std err: {_fmt(mc.std_err)}")
         print(f"z: {_fmt(z)}")
@@ -193,6 +193,8 @@ def cmd_sweep(args) -> int:
             # a non-finite K is out of range (exit 2), a non-finite b bad input (exit 1)
             error = KOutOfRangeError if args.param == "k" else ValueError
             raise error(f"{flag} must be finite, got {value!r}")
+        if args.param == "b" and not -1.0 <= value <= 1.0:
+            raise ValueError(f"{flag} must lie in [-1, 1] for a b sweep, got {value!r}")
     grid = np.linspace(args.start, args.stop, args.steps)
     if args.param == "k":
         if args.channel is None:

@@ -216,27 +216,6 @@ class Batch(NamedTuple):
     total: np.ndarray
 
 
-# Moduli, squares and complex products below are spelled out as hypot,
-# pow and real multiplies: that way every batch element rounds exactly
-# as the scalar Python expressions abs(z), x ** 2 and z * w do, so a
-# batch reproduces single-point results bit for bit. numpy's vectorised
-# complex multiply and abs may fuse operations and differ in the last bit.
-
-
-def _abs(z):
-    return np.hypot(z.real, z.imag)
-
-
-def _abs_prod(x, y):
-    """|x * y| for complex arrays x and y."""
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    return np.hypot(xr * yr - xi * yi, xr * yi + xi * yr)
-
-
-def _square(x):
-    return np.float_power(x, 2.0)
-
-
 def _total(p_joint: np.ndarray) -> np.ndarray:
     """Sum over the outcome axis, in outcome order."""
     return p_joint[..., 0] + p_joint[..., 1] + p_joint[..., 2] + p_joint[..., 3]
@@ -248,15 +227,17 @@ def k_bound(c0, c1):
     Works elementwise on arrays of pairs; inf where both vanish.
     """
     with np.errstate(divide="ignore"):
-        return 1.0 / np.maximum(_abs(c0), _abs(c1))
+        return 1.0 / np.maximum(np.abs(c0), np.abs(c1))
 
 
 def _unitaries(c0: np.ndarray, c1: np.ndarray, k: np.ndarray) -> np.ndarray:
     """matched_unitary over arrays of pairs and K: shape (..., 4, 4)."""
     m0 = k * c1  # success amplitude for receiver bit 0 picks up the other coefficient
     m1 = k * c0
-    r0 = np.sqrt(np.maximum(0.0, 1.0 - _square(k * _abs(c1))))
-    r1 = np.sqrt(np.maximum(0.0, 1.0 - _square(k * _abs(c0))))
+    t0 = k * np.abs(c1)
+    t1 = k * np.abs(c0)
+    r0 = np.sqrt(np.maximum(0.0, 1.0 - t0 * t0))
+    r1 = np.sqrt(np.maximum(0.0, 1.0 - t1 * t1))
     u = np.zeros(np.shape(m0) + (4, 4), dtype=np.complex128)
     u[..., 0, 0] = m0
     u[..., 0, 2] = r0
@@ -307,12 +288,14 @@ def _normalized(v: np.ndarray, weight) -> np.ndarray:
 
 
 def _evolve(psi: np.ndarray, u: np.ndarray):
-    """evolve_and_measure over stacks of states and unitaries."""
+    """Apply stacks of unitaries to stacks of states and read the ancilla.
+
+    Returns the success probability, the normalized success branch and
+    the unnormalized failure branch.
+    """
     out = (u @ psi[..., None])[..., 0]
-    succ, fail = out[..., :2], out[..., 2:]
-    succ_w, fail_w = qlinalg.norm2(succ), qlinalg.norm2(fail)
-    p = succ_w / qlinalg.norm2(psi)
-    return p, _normalized(succ, succ_w), _normalized(fail, fail_w)
+    succ, succ_w = out[..., :2], qlinalg.norm2(out[..., :2])
+    return succ_w / qlinalg.norm2(psi), _normalized(succ, succ_w), out[..., 2:]
 
 
 def evolve_and_measure(state, u) -> tuple[float, np.ndarray, np.ndarray]:
@@ -329,7 +312,7 @@ def evolve_and_measure(state, u) -> tuple[float, np.ndarray, np.ndarray]:
     if qlinalg.norm2(v) <= 1e-30:
         raise ValueError("state has zero norm")
     p, succ, fail = _evolve(v, qlinalg.as_matrix(u))
-    return float(p), succ, fail
+    return float(p), succ, _normalized(fail, qlinalg.norm2(fail))
 
 
 def pauli_correction(lam: int) -> np.ndarray:
@@ -378,7 +361,8 @@ def points(a, b, basis: TwoQubitBasis, mode: str, k=None) -> Points:
         c0, c1 = _pairs(a, b, basis)
         bounds = k_bound(c0, c1)
         # nan and inf amplitudes fail the comparison too
-        bad_channel = ~(np.abs(_square(_abs(a)) + _square(_abs(b)) - 1.0) <= NORMALIZATION_TOL)
+        ma, mb = np.abs(a), np.abs(b)
+        bad_channel = ~(np.abs(ma * ma + mb * mb - 1.0) <= NORMALIZATION_TOL)
         unentangled = 2.0 * np.abs(a * b) <= NORMALIZATION_TOL
         fails = bad_channel | unentangled | degenerate
         ks = np.empty(bounds.shape)
@@ -392,10 +376,11 @@ def points(a, b, basis: TwoQubitBasis, mode: str, k=None) -> Points:
             ks[:] = np.minimum.reduce(bounds, axis=1)[:, None]
         else:
             ks[:] = bounds
-    i = int(fails.argmax())
-    if fails[i]:
+    for i in np.flatnonzero(fails):
         if bad_channel[i]:
-            TwoQubitChannel.diagonal(complex(a[i]), complex(b[i]))  # raises its own error
+            # raises its own error, unless its scalar moduli, which may
+            # differ from numpy's in the last bit, pass the tolerance
+            TwoQubitChannel.diagonal(complex(a[i]), complex(b[i]))
         if mode == "fixed" and bad_k[i]:
             KPolicy.fixed(float(k_points[i]))  # raises its own error
         if unentangled[i]:
@@ -407,11 +392,12 @@ def points(a, b, basis: TwoQubitBasis, mode: str, k=None) -> Points:
                 "basis coefficients too close to zero: some outcome would "
                 "never herald success"
             )
-        lam0 = int(above[i].argmax())
-        raise KOutOfRangeError(
-            f"K={float(k_points[i])!r} exceeds the bound "
-            f"{float(bounds[i, lam0])!r} of outcome {lam0 + 1}"
-        )
+        if mode == "fixed" and above[i].any():
+            lam0 = int(above[i].argmax())
+            raise KOutOfRangeError(
+                f"K={float(k_points[i])!r} exceeds the bound "
+                f"{float(bounds[i, lam0])!r} of outcome {lam0 + 1}"
+            )
     return Points(basis, a, b, c0, c1, ks)
 
 
@@ -447,8 +433,10 @@ def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
     pref2 = 0.5 if pts.basis.kind == "bell" else 1.0
     u0 = np.where(_SWAPS_INPUT, inp.beta, inp.alpha)
     u1 = np.where(_SWAPS_INPUT, inp.alpha, inp.beta)
-    p_alice = pref2 * (_square(_abs_prod(pts.c0, u0)) + _square(_abs_prod(pts.c1, u1)))
-    p_joint = pref2 * _square(pts.k * _abs_prod(pts.c0, pts.c1))
+    m0, m1 = np.abs(pts.c0 * u0), np.abs(pts.c1 * u1)
+    p_alice = pref2 * (m0 * m0 + m1 * m1)
+    m = pts.k * np.abs(pts.c0 * pts.c1)
+    p_joint = pref2 * (m * m)
     return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones_like(p_joint), _total(p_joint))
 
 
@@ -470,7 +458,8 @@ def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
     p_alice, receivers = project_all(state, pts.basis)
     p_bob, success, _ = _evolve(_attach(receivers), _unitaries(pts.c0, pts.c1, pts.k))
     corrected = (_CORRECTIONS @ success[..., None])[..., 0]
-    fidelity = _square(_abs((psi_in.conj() @ corrected[..., None])[..., 0]))
+    overlap = np.abs((psi_in.conj() @ corrected[..., None])[..., 0])
+    fidelity = overlap * overlap
     p_joint = p_alice * p_bob
     return Batch(pts.k, p_alice, p_bob, p_joint, fidelity, _total(p_joint))
 
@@ -536,6 +525,11 @@ def monte_carlo(
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     batch = analytic_batch(inp, channel_points(ch, basis, policy.mode, policy.k))
+    return _sample(batch, trials, seed)
+
+
+def _sample(batch: Batch, trials: int, seed: int) -> MonteCarloReport:
+    """monte_carlo on the first point of an analytic batch."""
     rng = np.random.default_rng(seed)
     outcomes = rng.multinomial(trials, batch.p_alice[0])
     # binomial refuses the p_bob of 1 + 1ulp that perfect channels give
@@ -570,9 +564,12 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     a, b = b_axis_channels(b)
     h = 1.0 / math.sqrt(2.0)
-    inp, bell = PureInputState(h, h), standard_bell()
-    p_opt = analytic_batch(inp, points(a, b, bell, "max-per-outcome")).total
-    p_k1 = analytic_batch(inp, points(a, b, bell, "fixed", 1.0)).total
+    inp = PureInputState(h, h)
+    pts = points(a, b, standard_bell(), "max-per-outcome")
+    p_opt = analytic_batch(inp, pts).total
+    # |a| and |b| are at most 1 at every valid point of the b axis, so
+    # each Bell-basis bound 1/max(|a|, |b|) is at least 1: K=1 is valid.
+    p_k1 = analytic_batch(inp, pts._replace(k=np.ones_like(pts.k))).total
     return b, p_opt, p_k1, 2.0 * p_k1
 
 

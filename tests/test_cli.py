@@ -5,7 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+import telematch.cli
+import telematch.protocol
+from telematch.channel import PureInputState, parse_channel
 from telematch.cli import MAX_STEPS, SEED_ENV, main
+from telematch.measurement import parse_basis
+from telematch.protocol import KPolicy, analytic_report, monte_carlo
 
 
 def run_cli(argv):
@@ -580,6 +585,11 @@ MONTECARLO = ["montecarlo", "--channel", "diag:0.8,0.6", "--trials", "10"]
         pytest.param(RUN + ["--alpha", "1e200", "--beta", "1"], None, 1, id="input-overflow"),
         pytest.param(["sweep", "--param", "b", "--start", "1e200", "--stop", "2e200", "--steps", "3"],
                      None, 1, id="b-sweep-overflow"),
+        # b grids beyond the channel family a|00> + b|11>, |b| <= 1
+        pytest.param(["sweep", "--param", "b", "--start", "1.5", "--stop", "2", "--steps", "2"],
+                     None, 1, id="b-sweep-above-one"),
+        pytest.param(["sweep", "--param", "b", "--start", "0.5", "--stop", "1.5", "--steps", "3"],
+                     None, 1, id="b-sweep-stop-above-one"),
     ],
 )
 def test_exit_code_by_error_kind(capsys, monkeypatch, tmp_path, argv, env, code):
@@ -595,6 +605,83 @@ def test_exit_code_by_error_kind(capsys, monkeypatch, tmp_path, argv, env, code)
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("telematch: error: ")
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (["--start", "1.5", "--stop", "2"], "--start must lie in [-1, 1] for a b sweep, got 1.5"),
+        (["--start", "0.5", "--stop", "1.5"], "--stop must lie in [-1, 1] for a b sweep, got 1.5"),
+        (["--start", "-1.25", "--stop", "0.5"], "--start must lie in [-1, 1] for a b sweep, got -1.25"),
+    ],
+)
+def test_b_sweep_beyond_the_channel_family_names_b(capsys, bounds, message):
+    assert run_capture(capsys, ["sweep", "--param", "b", *bounds, "--steps", "3"]) == (
+        1, "", f"telematch: error: {message}\n"
+    )
+
+
+def test_b_sweep_takes_negative_b(capsys):
+    code, out, _ = run_capture(
+        capsys, ["sweep", "--param", "b", "--start", "-0.5", "--stop", "-0.4", "--steps", "2"]
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(r[0]) for r in rows] == [-0.5, -0.4]
+    for b, ana, sim in ((float(v) for v in row) for row in rows):
+        assert ana == pytest.approx(2 * b * b, abs=1e-12)
+        assert sim == pytest.approx(ana, abs=1e-12)
+
+
+def test_montecarlo_validates_its_point_once(capsys, monkeypatch):
+    calls = []
+    original = telematch.protocol.channel_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(telematch.protocol, "channel_points", counting)
+    monkeypatch.setattr(telematch.cli, "channel_points", counting)
+    for fmt in ("text", "csv"):
+        calls.clear()
+        code, _, _ = run_capture(capsys, MONTECARLO + ["--seed", "3", "--format", fmt])
+        assert code == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "channel, basis, k",
+    [
+        ("diag:0.8,0.6", "bell", "1"),
+        ("diag:0.6,0.8i", "bell", "max"),
+        ("diag:0.8,0.6", "gbm:0.6,0.8", "per-outcome"),
+        ("diag:0.48-0.64i,0.6", "gbm:0.6,0.8", "1.1"),
+    ],
+)
+def test_montecarlo_output_equals_the_library_reports(capsys, channel, basis, k):
+    inp = PureInputState(0.6, 0.8j)
+    args = (inp, parse_channel(channel), parse_basis(basis), KPolicy.parse(k))
+    total = analytic_report(*args).total
+    mc = monte_carlo(*args, trials=12345, seed=77)
+    z = (mc.p_hat - total) / mc.std_err
+    argv = ["montecarlo", "--channel", channel, "--basis", basis, f"--k={k}", "--alpha", "0.6",
+            "--beta", "0.8i", "--trials", "12345", "--seed", "77"]
+    fmt = "{:.15g}".format
+    assert run_capture(capsys, argv + ["--format", "csv"]) == (
+        0, f"analytic,empirical,stderr,z\n{fmt(total)},{fmt(mc.p_hat)},{fmt(mc.std_err)},{fmt(z)}\n", ""
+    )
+    assert run_capture(capsys, argv) == (0, "".join(line + "\n" for line in [
+        "trials: 12345",
+        "seed: 77",
+        "sampler: multinomial-binomial",
+        "outcome counts: " + " ".join(map(str, mc.outcome_counts)),
+        "success counts: " + " ".join(map(str, mc.success_counts)),
+        f"analytic total: {fmt(total)}",
+        f"empirical total: {fmt(mc.p_hat)}",
+        f"std err: {fmt(mc.std_err)}",
+        f"z: {fmt(z)}",
+    ]), "")
 
 
 def test_k_sweep_accepts_the_default_k(capsys):

@@ -35,7 +35,9 @@ from telematch.protocol import (
     b_axis_channels,
     branch_coefficients,
     evolve_and_measure,
+    fig1_columns,
     fig1_data,
+    fig1_grid,
     k_bound,
     matched_unitary,
     monte_carlo,
@@ -763,6 +765,16 @@ def test_fig1_optimal_curve_dominates_fixed_k():
         assert row.p_opt > row.p_k1
 
 
+def test_fig1_columns_follow_the_closed_forms_on_a_large_grid():
+    # fig1's own size in the benchmark: the K=1 curve reuses the validated points
+    b, p_opt, p_k1, p_ksqrt2 = fig1_columns(fig1_grid(20000))
+    a = np.sqrt(1.0 - b * b)
+    assert np.max(np.abs(p_opt - 2.0 * b * b)) <= 1e-12
+    assert np.max(np.abs(p_k1 - 2.0 * (a * b) ** 2)) <= 1e-12
+    assert np.max(np.abs(p_ksqrt2 - 4.0 * (a * b) ** 2)) <= 1e-12
+    assert np.all(p_opt > p_k1)
+
+
 # ------------------------------------------------------- batched kernels
 
 REPORT_FIELDS = ("k_used", "p_alice", "p_bob", "p_joint", "fidelity")
@@ -820,6 +832,59 @@ def test_batch_elements_match_single_point_reports(case):
         for field in REPORT_FIELDS:
             assert np.max(np.abs(getattr(ana, field)[i] - getattr(sim, field)[i])) <= 1e-12
         assert np.max(np.abs(sim.fidelity[i] - 1.0)) <= 1e-12
+
+
+@st.composite
+def large_batches(draw):
+    """Batches long enough for numpy's vector loops and their remainders."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    theta = gen.uniform(0.05, math.pi / 2 - 0.05, n)
+    a = np.cos(theta) * np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, n))
+    b = np.sin(theta) * np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, n))
+    theta = draw(angle)
+    inp = PureInputState(
+        math.cos(theta) * cmath.exp(1j * draw(phase)),
+        math.sin(theta) * cmath.exp(1j * draw(phase)),
+    )
+    if draw(st.booleans()):
+        basis = standard_bell()
+    else:
+        theta = draw(angle)
+        basis = generalized_bell(math.cos(theta), math.sin(theta))
+    mode = draw(st.sampled_from(K_POLICY_MODES))
+    k = None
+    if mode == "fixed":
+        k = gen.uniform(0.05, 1.0, n) * points(a, b, basis, "max-global").k[:, 0]
+    return inp, a, b, basis, mode, k
+
+
+@given(large_batches())
+@settings(max_examples=25, deadline=None)
+def test_batch_elements_equal_single_point_reports_exactly(case):
+    # numpy rounds each element of abs, * and + alike at any array length
+    inp, a, b, basis, mode, k = case
+    pts = points(a, b, basis, mode, k)
+    for kernel, report in ((analytic_batch, analytic_report), (simulate_batch, simulate_report)):
+        batch = kernel(inp, pts)
+        for i in range(len(a)):
+            ch = TwoQubitChannel.diagonal(a[i], b[i])
+            single = report(inp, ch, basis, KPolicy(mode, None if k is None else k[i]))
+            assert batch.total[i] == single.total
+            for lam0, o in enumerate(single.outcomes):
+                for field in REPORT_FIELDS:
+                    assert getattr(batch, field)[i, lam0] == getattr(o, field)
+
+
+def test_points_accept_every_channel_the_channel_class_accepts():
+    # |a|^2 + |b|^2 sits within an ulp of 1 - NORMALIZATION_TOL here, where
+    # numpy's vectorised moduli may disagree with the scalar abs in the last bit
+    a, b = -0.882616540498969 - 0.2501412990660471j, -0.272037316154242 + 0.2905392754151825j
+    ch = TwoQubitChannel.diagonal(a, b)
+    bell = standard_bell()
+    report = analytic_report(PureInputState(1.0, 0.0), ch, bell, KPolicy.max_global())
+    assert report.total == pytest.approx(2.0 * abs(a * b) ** 2 / max(abs(a), abs(b)) ** 2)
+    assert points(np.array([a]), np.array([b]), bell, "fixed", 1.0).k[0, 0] == 1.0
 
 
 def test_points_first_failing_point_decides_the_error():
