@@ -1,10 +1,10 @@
 """Probabilistic qubit teleportation through partially entangled channels.
 
 The package models teleportation of alpha|0> + beta|1> through a pure
-channel a|00> + b|11>. A partially entangled channel (|a| != |b|) cannot
-teleport deterministically; matching the receiver's conditional unitary
-to the channel coefficients turns it into a heralded probabilistic
-protocol with unit fidelity on success. Closed-form success
+two-qubit channel. A partially entangled channel cannot teleport
+deterministically; matching the receiver's conditional unitary to the
+sender's outcome turns it into a heralded probabilistic protocol with
+unit fidelity on success. Closed-form success
 probabilities, a brute-force state-vector simulation, and a seeded
 Monte Carlo sampler are all provided and cross-checked.
 """
@@ -40,11 +40,9 @@ from .protocol import (
     OutcomeReport,
     Points,
     ProtocolReport,
-    UnsupportedChannelError,
     analytic_batch,
     analytic_report,
     attach_ancilla,
-    branch_coefficients,
     channel_points,
     evolve_and_measure,
     fig1_data,
@@ -75,13 +73,11 @@ __all__ = [
     "PureInputState",
     "TwoQubitBasis",
     "TwoQubitChannel",
-    "UnsupportedChannelError",
     "UnteleportableChannelError",
     "__version__",
     "analytic_batch",
     "analytic_report",
     "attach_ancilla",
-    "branch_coefficients",
     "branch_operators",
     "channel_points",
     "classify",

@@ -89,10 +89,6 @@ class TwoQubitChannel:
         """Channel of the form a|00> + b|11>."""
         return cls(a, 0.0, 0.0, b)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.x01 == 0 and self.x10 == 0
-
     def vector(self) -> np.ndarray:
         return np.array(
             [self.x00, self.x01, self.x10, self.x11], dtype=np.complex128

@@ -2,10 +2,10 @@
 
 Exit codes follow the class of the error, wherever it is raised: 0 on
 success; 2 when the request is impossible physics, that is
-KOutOfRangeError, UnteleportableChannelError, UnsupportedChannelError
-or DegenerateBasisError; 1 for any other ValueError (a bad literal or
-inconsistent options) and for OSError. Numbers print with 15
-significant digits.
+KOutOfRangeError, UnteleportableChannelError or DegenerateBasisError;
+1 for any other ValueError (a bad literal or inconsistent options) and
+for OSError. `run` and `montecarlo` take any pure channel; numbers
+print with 15 significant digits.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .protocol import (
     MAX_TRIALS,
     KOutOfRangeError,
     KPolicy,
-    UnsupportedChannelError,
     _sample,
     analytic_batch,
     b_axis_channels,
@@ -51,7 +50,7 @@ EXIT_DOMAIN = 2
 SEED_ENV = "TELEMATCH_SEED"
 
 # Largest grid `sweep` and `fig1` accept. A sweep's kernels hold every
-# grid point at once, about 2.6 KB per point, so about 260 MB at the cap.
+# grid point at once, about 3 KB per point, so about 300 MB at the cap.
 MAX_STEPS = 100_000
 
 # fig1 rows computed and formatted per kernel call. Blocks keep the
@@ -206,7 +205,7 @@ def cmd_sweep(args) -> int:
         if args.channel is not None:
             raise ValueError("sweeping b derives the channel; drop --channel")
         policy = KPolicy.parse(args.k)
-        pts = points(*b_axis_channels(grid), basis, policy.mode, policy.k)
+        pts = points(b_axis_channels(grid), basis, policy.mode, policy.k)
     ana = analytic_batch(inp, pts).total
     sim = simulate_batch(inp, pts).total
     sys.stdout.write(f"{args.param},analytic_total,simulated_total\n")
@@ -303,7 +302,6 @@ def main(argv=None) -> int:
     except (
         KOutOfRangeError,
         UnteleportableChannelError,
-        UnsupportedChannelError,
         DegenerateBasisError,
     ) as exc:
         print(f"telematch: error: {exc}", file=sys.stderr)

@@ -13,12 +13,16 @@ receiver qubit: if X is the channel parameter matrix, then
 and the receiver's unnormalized post-measurement state is
 (1/2) * sigma_lam @ (alpha, beta). The projection route in `project`
 computes the same state directly from the three-qubit product state;
-the two must agree, which the test suite checks.
+the two must agree, which the test suite checks. The protocol reads
+tau_lam = sigma_lam / (2 * pref), pref = 1/sqrt(2) for Bell and 1 for
+the generalized basis: with A[j, k] = x_jk, a basis's (16, 4) `blocks`
+give blocks @ A.reshape(4) = tau_lam[k, i] over (i, k, lam).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +47,16 @@ class TwoQubitBasis:
 
     kind is 'bell' for the standard basis or 'gbm' for the generalized
     family; a_p and b_p are the generalized coefficients (None for
-    'bell'). Rows of t_matrix must be orthonormal.
+    'bell'). Rows of t_matrix must be orthonormal. pref2 (pref^2, 1/2
+    for 'bell' and 1 for 'gbm') and blocks (see module doc) are derived.
     """
 
     kind: str
     a_p: float | None
     b_p: float | None
     t_matrix: np.ndarray
+    pref2: float = field(init=False, repr=False)
+    blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in BASIS_KINDS:
@@ -62,6 +69,16 @@ class TwoQubitBasis:
             raise InvalidBasisError("basis rows are not orthonormal")
         t.setflags(write=False)
         object.__setattr__(self, "t_matrix", t)
+        bell = self.kind == "bell"
+        object.__setattr__(self, "pref2", 0.5 if bell else 1.0)
+        # blocks[i, k, lam, j, k] = conj(T[lam, 2i + j]) / pref: +-1 or 0 for Bell
+        g = t.conj().reshape(4, 2, 2).transpose(1, 0, 2) / (1.0 / SQRT2 if bell else 1.0)
+        blocks = np.zeros((2, 2, 4, 2, 2), dtype=np.complex128)
+        for k in range(2):
+            blocks[:, k, :, :, k] = g
+        blocks = blocks.reshape(16, 4)
+        blocks.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
 
     def state(self, lam: int) -> np.ndarray:
         """Basis state for outcome lam (1..4) as a 4-vector."""
@@ -131,11 +148,9 @@ def branch_operators(x_cpm, basis: TwoQubitBasis) -> tuple[np.ndarray, ...]:
     x = qlinalg.as_matrix(x_cpm)
     if x.shape != (2, 2):
         raise ValueError(f"channel parameter matrix must be 2x2, got {x.shape}")
-    ops = []
-    for lam in range(4):
-        block = SQRT2 * basis.t_matrix[lam].reshape(2, 2).conj().T
-        ops.append(x @ block)
-    return tuple(ops)
+    # sigma_lam = X @ B_lam = 2 * pref * tau_lam for A = X.T / sqrt(2)
+    ops = math.sqrt(2.0 * basis.pref2) * (basis.blocks @ x.T.reshape(4))
+    return tuple(ops.reshape(2, 2, 4).T)
 
 
 def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, np.ndarray]:

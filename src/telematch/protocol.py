@@ -1,35 +1,17 @@
 """Probabilistic teleportation through a partially entangled channel.
 
-The channel a|00> + b|11> teleports alpha|0> + beta|1> only
-probabilistically when |a| != |b|. After the sender measures, the
-receiver holds a state whose amplitudes are weighted by a coefficient
-pair (c0, c1) determined by the channel and the measured outcome. The
-receiver then attaches an ancilla qubit in |0> and applies a unitary
-built from that pair; reading the ancilla back in |0> heralds success,
-after which a Pauli rotation restores the input state exactly.
-
-The unitary has one free parameter K with 0 < K <= min(1/|c0|, 1/|c1|).
-The probability that outcome lam occurs and the ancilla heralds success
-is pref^2 * (K_lam * |c0 * c1|)^2 independent of the input state, where
-pref is 1/sqrt(2) for the standard Bell basis and 1 for the generalized
-basis. Summing over outcomes gives the closed forms checked by the test
-suite: 2(K|ab|)^2 for the Bell basis with a common K, 4(K|a b a' b'|)^2
-for the generalized basis, and 2*min(|b|, |b'|)^2 when each outcome
-runs at its own maximal K.
-
-Coefficient pairs per outcome for channel (a, b):
-
-    Bell basis:         (a, b) for every outcome;
-    generalized basis:  (a*a', b*b') for lam in {1, 4},
-                        (a*b', b*a') for lam in {2, 3}.
-
-Outcomes 3 and 4 deliver the input amplitudes swapped, so their success
-branches are evaluated against (beta, alpha); the trailing Pauli fixes
-the order. All probability formulas use coefficient moduli and hold for
-complex amplitudes.
+Outcome lam of the sender's measurement leaves the receiver with
+pref * tau_lam @ (alpha, beta), tau_lam the outcome operator of the
+channel and basis (see `measurement`). The receiver applies the unitary
+dilation [[M, sqrt(I - M M^dag)], [sqrt(I - M^dag M), -M^dag]] of the
+filter M_lam = K * adj(tau_lam) to (receiver, ancilla |0>), ancilla most
+significant, for 0 < K <= 1/s_max(tau_lam). As M_lam @ tau_lam =
+K * det(tau_lam) * I, the ancilla read in |0> heralds the input state
+itself: outcome lam occurs with p_alice = pref^2 |tau_lam (alpha, beta)|^2
+and succeeds with p_joint = pref^2 (K |det tau_lam|)^2 for any input.
 
 Two kernels do the work, each over a batch of N points (channel
-amplitudes a, b and K per outcome) that share one input state and one
+amplitudes and K per outcome) that share one input state and one
 basis: `analytic_batch` evaluates the closed forms, `simulate_batch`
 evolves the three-qubit state vector. `points` validates a batch and
 resolves K once; the report functions, `monte_carlo` and `fig1_data`
@@ -80,22 +62,18 @@ PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-# Correction per outcome: identity, phase flip, bit flip, both.
+# Correction per outcome after `matched_unitary`: identity, phase flip, bit flip, both.
 _CORRECTIONS = np.stack([PAULI["I"], PAULI["Z"], PAULI["X"], PAULI["Z"] @ PAULI["X"]])
 
-# Outcomes 3 and 4 arrive with the input amplitudes swapped.
-_SWAPS_INPUT = np.array([False, False, True, True])
+# Signs that turn the flipped transpose [[t11, t01], [t10, t00]] into adj(t).
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
-# The Bell basis weights the channel pair (a, b) alike in every outcome.
-_BELL_WEIGHTS = np.ones(4)
+# Smallest normal double: keeps 1/sqrt(w) finite where a weight w is 0.
+_TINY = np.finfo(float).tiny
 
 
 class KOutOfRangeError(ValueError):
     """Raised when K violates an outcome's matching bound."""
-
-
-class UnsupportedChannelError(ValueError):
-    """Raised for channels outside the a|00> + b|11> family."""
 
 
 @dataclass(frozen=True)
@@ -192,16 +170,14 @@ class Fig1Row(NamedTuple):
 class Points(NamedTuple):
     """A validated batch of N protocol points that share one basis.
 
-    a and b hold the (N,) amplitudes of the channels a|00> + b|11>;
-    c0 and c1 the (N, 4) coefficient pair of each outcome; k the (N, 4)
-    K each outcome runs at.
+    x holds the (N, 2, 2) channel amplitudes x[n, j, k] = x_jk; tau the
+    (N, 4, 2, 2) outcome operators of each point; k the (N, 4) K each
+    outcome runs at.
     """
 
     basis: TwoQubitBasis
-    a: np.ndarray
-    b: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
+    x: np.ndarray
+    tau: np.ndarray
     k: np.ndarray
 
 
@@ -216,37 +192,82 @@ class Batch(NamedTuple):
     total: np.ndarray
 
 
-def _total(p_joint: np.ndarray) -> np.ndarray:
-    """Sum over the outcome axis, in outcome order."""
-    return p_joint[..., 0] + p_joint[..., 1] + p_joint[..., 2] + p_joint[..., 3]
+def _diagonal(c0, c1) -> np.ndarray:
+    """diag(c0, c1) over arrays of pairs: shape (..., 2, 2)."""
+    d = np.zeros(np.broadcast_shapes(np.shape(c0), np.shape(c1)) + (2, 2), dtype=np.complex128)
+    d[..., 0, 0] = c0
+    d[..., 1, 1] = c1
+    return d
+
+
+def _k_bounds(tau: np.ndarray) -> np.ndarray:
+    """Largest valid K, 1/s_max, per operator over the last two axes.
+
+    s_max^2 is the larger eigenvalue of tau tau^dag = [[p, r], [r*, q]],
+    max(p, q) + (sqrt(h^2 + |r|^2) - h) with h = |p - q| / 2: exactly
+    max(p, q) when r = 0. inf for 0; the caller sets np.errstate.
+    """
+    m = np.abs(tau)
+    m *= m
+    p = m[..., 0, 0] + m[..., 0, 1]
+    q = m[..., 1, 0] + m[..., 1, 1]
+    r = np.abs(tau[..., 0, 0] * tau[..., 1, 0].conj() + tau[..., 0, 1] * tau[..., 1, 1].conj())
+    h = 0.5 * np.abs(p - q)
+    return 1.0 / np.sqrt(np.maximum(p, q) + (np.sqrt(h * h + r * r) - h))
 
 
 def k_bound(c0, c1):
-    """Largest valid K for a coefficient pair: min(1/|c0|, 1/|c1|).
-
-    Works elementwise on arrays of pairs; inf where both vanish.
-    """
+    """Largest valid K for a coefficient pair, min(1/|c0|, 1/|c1|): the
+    diagonal case of 1/s_max(tau), elementwise; inf where both vanish."""
     with np.errstate(divide="ignore"):
-        return 1.0 / np.maximum(np.abs(c0), np.abs(c1))
+        return _k_bounds(_diagonal(c0, c1))
 
 
-def _unitaries(c0: np.ndarray, c1: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """matched_unitary over arrays of pairs and K: shape (..., 4, 4)."""
-    m0 = k * c1  # success amplitude for receiver bit 0 picks up the other coefficient
-    m1 = k * c0
-    t0 = k * np.abs(c1)
-    t1 = k * np.abs(c0)
-    r0 = np.sqrt(np.maximum(0.0, 1.0 - t0 * t0))
-    r1 = np.sqrt(np.maximum(0.0, 1.0 - t1 * t1))
-    u = np.zeros(np.shape(m0) + (4, 4), dtype=np.complex128)
-    u[..., 0, 0] = m0
-    u[..., 0, 2] = r0
-    u[..., 1, 1] = m1
-    u[..., 1, 3] = r1
-    u[..., 2, 0] = r0
-    u[..., 2, 2] = -np.conj(m0)
-    u[..., 3, 1] = r1
-    u[..., 3, 3] = -np.conj(m1)
+def _filters(tau: np.ndarray, k) -> np.ndarray:
+    """K * adj(tau) = K [[t11, -t01], [-t10, t00]] over the last two axes, computed on
+    the transposes, so that a Fortran-ordered tau gives a Fortran-ordered result."""
+    signs = _ADJUGATE_SIGNS.reshape((2, 2) + (1,) * (tau.ndim - 2))
+    return (tau.T[::-1, ::-1].swapaxes(0, 1) * (signs * np.transpose(k))).T
+
+
+def _sqrt_complement(gd: np.ndarray, g01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and upper corner of sqrt(I - G), G = [[g00, g01], [g01*, g11]],
+    0 <= G <= I, from gd = (g00, g11) over the last axis and g01.
+
+    For 2x2 A >= 0, sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)),
+    0 where A = 0; det and trace are clamped at 0 against the rounding
+    that leaves A slightly indefinite when ||G|| = 1.
+    """
+    ad = 1.0 - gd
+    a, d = ad[..., 0], ad[..., 1]
+    b = np.abs(g01)
+    s = np.sqrt(np.maximum(a * d - b * b, 0.0))
+    t2 = np.maximum(a + d + (s + s), 0.0)
+    f = np.sqrt(t2) / (t2 + _TINY)  # 1 / sqrt(t2), and 0 where t2 = 0
+    return (ad + s[..., None]) * f[..., None], -g01 * f
+
+
+def _dilation(m: np.ndarray, full: bool = True) -> np.ndarray:
+    """[[M, sqrt(I - M M^dag)], [sqrt(I - M^dag M), -M^dag]] for contractions m (..., 2, 2).
+
+    With full=False only the columns that act on an ancilla in |0>,
+    [[M, 0], [sqrt(I - M^dag M), 0]], which is all the kernels apply.
+    """
+    u = np.zeros(m.shape[:-2] + (4, 4), dtype=np.complex128)
+    flat = u.reshape(m.shape[:-2] + (16,))  # u[..., r, c] is flat[..., 4r + c]
+    u[..., :2, :2] = m
+    w = np.abs(m)
+    w *= w
+    c = m.conj()
+    # M^dag M has the column norms of M on its diagonal, M M^dag the row norms
+    g = c[..., 0, 0] * m[..., 0, 1] + c[..., 1, 0] * m[..., 1, 1]
+    diag, off = _sqrt_complement(w[..., 0, :] + w[..., 1, :], g)
+    flat[..., 8::5], flat[..., 9], flat[..., 12] = diag, off, off.conj()
+    if full:
+        g = m[..., 0, 0] * c[..., 1, 0] + m[..., 0, 1] * c[..., 1, 1]
+        diag, off = _sqrt_complement(w[..., 0] + w[..., 1], g)
+        flat[..., 2:8:5], flat[..., 3], flat[..., 6] = diag, off, off.conj()
+        u[..., 2:, 2:] = -c.swapaxes(-1, -2)
     return u
 
 
@@ -257,7 +278,7 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     significant and the ancilla starting in |0>. On the success branch
     it rescales both receiver amplitudes to K*c0*c1; the leftover
     weight moves to the ancilla |1> branch. Requires
-    0 < k <= min(1/|c0|, 1/|c1|).
+    0 < k <= min(1/|c0|, 1/|c1|): the dilation of K * adj(diag(c0, c1)).
     """
     k = float(k)
     bound = float(k_bound(c0, c1))
@@ -265,7 +286,7 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
         raise KOutOfRangeError(
             f"K={k!r} outside (0, {bound!r}] for coefficients ({complex(c0)!r}, {complex(c1)!r})"
         )
-    return _unitaries(np.complex128(c0), np.complex128(c1), k)
+    return _dilation(_filters(_diagonal(c0, c1), np.float64(k)))
 
 
 def _attach(receivers: np.ndarray) -> np.ndarray:
@@ -283,19 +304,23 @@ def attach_ancilla(receiver) -> np.ndarray:
 
 
 def _normalized(v: np.ndarray, weight) -> np.ndarray:
-    """v / sqrt(weight) over the last axis; v unchanged where weight is 0."""
-    return v / np.sqrt(np.where(weight > 0, weight, 1.0))[..., None]
+    """v / sqrt(weight) over the last axis; v = 0 stays 0 where weight is 0."""
+    return v / np.sqrt(np.maximum(weight, _TINY))[..., None]
 
 
-def _evolve(psi: np.ndarray, u: np.ndarray):
+def _evolve(psi: np.ndarray, u: np.ndarray, weight):
     """Apply stacks of unitaries to stacks of states and read the ancilla.
 
-    Returns the success probability, the normalized success branch and
-    the unnormalized failure branch.
+    weight is the squared norm of each state. Returns the success
+    probability, the normalized success branch and the unnormalized
+    failure branch. The success weight, summed in extended precision,
+    does not depend on the order of the two heralded amplitudes.
     """
     out = (u @ psi[..., None])[..., 0]
-    succ, succ_w = out[..., :2], qlinalg.norm2(out[..., :2])
-    return succ_w / qlinalg.norm2(psi), _normalized(succ, succ_w), out[..., 2:]
+    succ = out[..., :2].astype(np.clongdouble)
+    w = (succ * succ.conj()).real
+    succ_w = (w[..., 0] + w[..., 1]).astype(float)[()]
+    return succ_w / weight, _normalized(out[..., :2], succ_w), out[..., 2:]
 
 
 def evolve_and_measure(state, u) -> tuple[float, np.ndarray, np.ndarray]:
@@ -309,9 +334,10 @@ def evolve_and_measure(state, u) -> tuple[float, np.ndarray, np.ndarray]:
     v = qlinalg.as_vector(state)
     if v.shape[0] != 4:
         raise ValueError(f"state must have length 4, got {v.shape[0]}")
-    if qlinalg.norm2(v) <= 1e-30:
+    weight = qlinalg.norm2(v)
+    if weight <= 1e-30:
         raise ValueError("state has zero norm")
-    p, succ, fail = _evolve(v, qlinalg.as_matrix(u))
+    p, succ, fail = _evolve(v, qlinalg.as_matrix(u), weight)
     return float(p), succ, _normalized(fail, qlinalg.norm2(fail))
 
 
@@ -321,68 +347,85 @@ def pauli_correction(lam: int) -> np.ndarray:
     return _CORRECTIONS[lam - 1].copy()
 
 
-def _pairs(a: np.ndarray, b: np.ndarray, basis: TwoQubitBasis):
-    """Coefficient pairs (c0, c1), each (N, 4), per point and outcome."""
-    if basis.kind == "bell":
-        w0 = w1 = _BELL_WEIGHTS
-    else:
-        ap, bp = basis.a_p, basis.b_p
-        w0 = np.array([ap, bp, bp, ap])
-        w1 = np.array([bp, ap, ap, bp])
-    return a[:, None] * w0, b[:, None] * w1
+def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
+    """Validate a batch of pure channels and resolve K.
 
-
-def points(a, b, basis: TwoQubitBasis, mode: str, k=None) -> Points:
-    """Validate a batch of channels a|00> + b|11> and resolve K.
-
-    a and b are (N,) amplitude arrays; mode is one of K_POLICY_MODES,
-    and 'fixed' takes k as one number or an (N,) array, one K per point.
-    Points are checked in order, and the first point that fails raises
-    what a single report on it would: ValueError for amplitudes that do
-    not form a normalized state, KOutOfRangeError for a K that is not
-    finite and positive, UnteleportableChannelError for 2|ab| <= 1e-9,
-    DegenerateBasisError for a degenerate basis, and KOutOfRangeError for
-    a K above some outcome's bound.
+    x is an (N, 2, 2) stack of amplitudes x[n, j, k] = x_jk, j the
+    sender's qubit; 'fixed' takes k as one number or one per point, and
+    another shape of either raises ValueError. The first failing point
+    raises what a single report on it would: ValueError for amplitudes
+    that are not a normalized state, KOutOfRangeError for a K that is not
+    finite and positive, UnteleportableChannelError for a concurrence
+    2|x00 x11 - x01 x10| <= 1e-9, DegenerateBasisError for a degenerate
+    basis, and KOutOfRangeError for a K above some outcome's bound.
     """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 3 or x.shape[1:] != (2, 2):
+        raise ValueError(f"channel amplitudes must be an (N, 2, 2) stack, got shape {x.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = np.abs(x.reshape(-1, 4))
+        m *= m
+        # nan and inf amplitudes fail the comparison too
+        unnormalized = ~(np.abs(m[:, 0] + m[:, 1] + m[:, 2] + m[:, 3] - 1.0) <= NORMALIZATION_TOL)
+    return _points(x, basis, mode, k, unnormalized)
+
+
+def channel_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k=None) -> Points:
+    """`points` for one channel object, with a K or an (N,) array of K."""
+    x = ch.vector().reshape(1, 2, 2)
+    if k is not None and np.ndim(k):
+        x = x.repeat(len(k), axis=0)
+    # the object checked its amplitudes when it was made
+    return _points(x, basis, mode, k)
+
+
+def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None) -> Points:
+    """`points` on an (N, 2, 2) stack; unnormalized flags the points that failed
+    the normalization check, None for amplitudes known to be normalized."""
     if mode not in K_POLICY_MODES:
         raise ValueError(f"unknown K policy mode {mode!r}")
     if mode == "fixed" and k is None:
         raise ValueError("fixed K policy needs a value")
     if mode != "fixed" and k is not None:
         raise ValueError(f"policy {mode!r} takes no K value")
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    n = x.shape[0]
+    if mode == "fixed" and np.shape(k) not in ((), (n,)):
+        raise ValueError(
+            f"fixed K must be one number or one per point, got shape {np.shape(k)} for {n} points"
+        )
     degenerate = basis.kind == "gbm" and (
         abs(basis.a_p) <= DEGENERATE_TOL or abs(basis.b_p) <= DEGENERATE_TOL
     )
     # Every point is computed and checked, invalid ones included, whose
     # arithmetic may overflow or produce nan; only the first failure counts.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        c0, c1 = _pairs(a, b, basis)
-        bounds = k_bound(c0, c1)
-        # nan and inf amplitudes fail the comparison too
-        ma, mb = np.abs(a), np.abs(b)
-        bad_channel = ~(np.abs(ma * ma + mb * mb - 1.0) <= NORMALIZATION_TOL)
-        unentangled = 2.0 * np.abs(a * b) <= NORMALIZATION_TOL
-        fails = bad_channel | unentangled | degenerate
-        ks = np.empty(bounds.shape)
+        # tau[n, lam, k, i] = sum_j G_lam[j, i] x[n, j, k] by one 2-D product; tau
+        # is Fortran-ordered, so each entry tau[..., k, i] is one (N, 4) block
+        tau = (basis.blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
+        bounds = _k_bounds(tau)
+        # the concurrence 2|x00 x11 - x01 x10|, at most NORMALIZATION_TOL
+        det = x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]
+        unentangled = np.abs(det) <= 0.5 * NORMALIZATION_TOL
+        fails = unentangled if unnormalized is None else unentangled | unnormalized
+        if degenerate:
+            fails = np.ones(n, dtype=bool)
+        ks = np.empty_like(bounds)
         if mode == "fixed":
-            k_points = np.ones(a.shape) * k
-            bad_k = ~(k_points > 0.0) | (k_points == np.inf)
-            above = k_points[:, None] > bounds * (1.0 + K_BOUND_RTOL)
-            fails |= bad_k | np.logical_or.reduce(above, axis=1)
-            ks[:] = k_points[:, None]
+            ks[:] = np.asarray(k, dtype=float)[..., None]
+            # K that is not positive, nan, or above some outcome's bound
+            fits = (ks > 0.0) & (ks <= bounds * (1.0 + K_BOUND_RTOL))
+            fails = fails | ~np.logical_and.reduce(fits, axis=1)
         elif mode == "max-global":
             ks[:] = np.minimum.reduce(bounds, axis=1)[:, None]
         else:
-            ks[:] = bounds
-    for i in np.flatnonzero(fails):
-        if bad_channel[i]:
+            ks = bounds
+    for i in fails.nonzero()[0]:
+        if unnormalized is not None and unnormalized[i]:
             # raises its own error, unless its scalar moduli, which may
             # differ from numpy's in the last bit, pass the tolerance
-            TwoQubitChannel.diagonal(complex(a[i]), complex(b[i]))
-        if mode == "fixed" and bad_k[i]:
-            KPolicy.fixed(float(k_points[i]))  # raises its own error
+            TwoQubitChannel(*x[i].ravel().tolist())
+        if mode == "fixed":
+            KPolicy.fixed(float(ks[i, 0]))  # raises for a K that is not finite and positive
         if unentangled[i]:
             raise UnteleportableChannelError(
                 "channel carries no entanglement; nothing can be teleported"
@@ -392,34 +435,20 @@ def points(a, b, basis: TwoQubitBasis, mode: str, k=None) -> Points:
                 "basis coefficients too close to zero: some outcome would "
                 "never herald success"
             )
-        if mode == "fixed" and above[i].any():
-            lam0 = int(above[i].argmax())
+        if mode == "fixed" and not fits[i].all():
+            lam0 = int(fits[i].argmin())
             raise KOutOfRangeError(
-                f"K={float(k_points[i])!r} exceeds the bound "
+                f"K={float(ks[i, 0])!r} exceeds the bound "
                 f"{float(bounds[i, lam0])!r} of outcome {lam0 + 1}"
             )
-    return Points(basis, a, b, c0, c1, ks)
+    return Points(basis, x, tau, ks)
 
 
-def channel_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k=None) -> Points:
-    """`points` for one channel object, with a K or an (N,) array of K."""
-    ks = None if k is None else np.atleast_1d(np.asarray(k, dtype=float))
-    if not ch.is_diagonal:
-        if ks is not None:
-            KPolicy.fixed(float(ks[0]))  # the first point checks its K first
-        raise UnsupportedChannelError(
-            "matching is implemented for channels a|00> + b|11>; "
-            "this channel has off-diagonal amplitudes"
-        )
-    n = 1 if ks is None else ks.shape[0]
-    return points(np.full(n, ch.x00), np.full(n, ch.x11), basis, mode, ks)
-
-
-def b_axis_channels(b) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes (a, b) of the channels sqrt(1 - b^2)|00> + b|11>."""
+def b_axis_channels(b) -> np.ndarray:
+    """Amplitude stack of the channels sqrt(1 - b^2)|00> + b|11>."""
     b = np.asarray(b, dtype=float)
     with np.errstate(over="ignore"):  # |b| above 1e154 gives a = 0, refused by `points`
-        return np.sqrt(np.fmax(0.0, 1.0 - b * b)), b
+        return _diagonal(np.sqrt(np.fmax(0.0, 1.0 - b * b)), b)
 
 
 def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
@@ -428,55 +457,51 @@ def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
     p_alice is the chance the sender sees each outcome, p_bob the
     conditional chance the ancilla heralds success, and p_joint their
     product; p_joint never depends on the input amplitudes. Fidelity
-    after correction is exactly 1 on every success branch.
+    is exactly 1 on every success branch.
     """
-    pref2 = 0.5 if pts.basis.kind == "bell" else 1.0
-    u0 = np.where(_SWAPS_INPUT, inp.beta, inp.alpha)
-    u1 = np.where(_SWAPS_INPUT, inp.alpha, inp.beta)
-    m0, m1 = np.abs(pts.c0 * u0), np.abs(pts.c1 * u1)
-    p_alice = pref2 * (m0 * m0 + m1 * m1)
-    m = pts.k * np.abs(pts.c0 * pts.c1)
-    p_joint = pref2 * (m * m)
-    return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones_like(p_joint), _total(p_joint))
+    tau = pts.tau
+    # tau @ (alpha, beta) elementwise: a matmul may round differently
+    v = np.abs(tau[..., 0] * inp.alpha + tau[..., 1] * inp.beta)
+    v *= v
+    p_alice = pts.basis.pref2 * (v[..., 0] + v[..., 1])
+    p_joint = _p_joint(pts, pts.k)
+    total = p_joint.sum(axis=-1)  # in outcome order
+    return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones_like(p_joint), total)
+
+
+def _p_joint(pts: Points, k) -> np.ndarray:
+    """pref^2 (K |det tau|)^2: the chance that each outcome occurs and heralds success."""
+    tau = pts.tau
+    m = k * np.abs(tau[..., 0, 0] * tau[..., 1, 1] - tau[..., 0, 1] * tau[..., 1, 0])
+    return pts.basis.pref2 * (m * m)
 
 
 def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
     """Run the protocol on every point by state-vector evolution.
 
-    Builds the three-qubit product states, projects them onto each
-    measurement outcome, attaches the ancilla, applies the matched
-    unitaries, reads the ancilla, and applies the Pauli corrections.
-    Reports the same fields as analytic_batch; the two must agree to
-    double precision.
+    Projects the three-qubit product states onto each outcome, applies
+    the dilations of the filters K * adj(tau) with the ancilla in |0>,
+    reads the ancilla and compares the heralded state with the input.
+    Reports the same fields as analytic_batch, to double precision.
     """
     psi_in = inp.vector()
-    channel = np.zeros(pts.a.shape + (4,), dtype=np.complex128)
-    channel[:, 0] = pts.a
-    channel[:, 3] = pts.b
-    # Input qubit most significant, as in qlinalg.tensor(psi_in, channel).
-    state = (psi_in[:, None] * channel[:, None, :]).reshape(-1, 8)
+    n = pts.x.shape[0]
+    # Input qubit most significant, as in np.kron(psi_in, channel).
+    state = (psi_in[:, None] * pts.x.reshape(n, 1, 4)).reshape(n, 8)
     p_alice, receivers = project_all(state, pts.basis)
-    p_bob, success, _ = _evolve(_attach(receivers), _unitaries(pts.c0, pts.c1, pts.k))
-    corrected = (_CORRECTIONS @ success[..., None])[..., 0]
-    overlap = np.abs((psi_in.conj() @ corrected[..., None])[..., 0])
+    u = _dilation(_filters(pts.tau, pts.k), full=False)
+    # the attached ancilla adds exact zeros: each state's weight is p_alice
+    p_bob, success, _ = _evolve(_attach(receivers), u, p_alice)
+    overlap = np.abs((psi_in.conj() @ success[..., None])[..., 0])
     fidelity = overlap * overlap
     p_joint = p_alice * p_bob
-    return Batch(pts.k, p_alice, p_bob, p_joint, fidelity, _total(p_joint))
+    return Batch(pts.k, p_alice, p_bob, p_joint, fidelity, p_joint.sum(axis=-1))
 
 
 def _report(batch: Batch) -> ProtocolReport:
     """The single point of an N=1 batch as a report."""
-    rows = zip(*(field[0].tolist() for field in batch[:5]))
-    outcomes = tuple(OutcomeReport(lam, *row) for lam, row in enumerate(rows, 1))
-    return ProtocolReport(outcomes, float(batch.total[0]))
-
-
-def branch_coefficients(
-    ch: TwoQubitChannel, basis: TwoQubitBasis
-) -> tuple[tuple[complex, complex], ...]:
-    """Coefficient pair (c0, c1) for each outcome (see module doc)."""
-    pts = channel_points(ch, basis, "max-per-outcome")
-    return tuple(zip(pts.c0[0].tolist(), pts.c1[0].tolist()))
+    columns = [field[0].tolist() for field in batch[:5]]
+    return ProtocolReport(tuple(map(OutcomeReport, (1, 2, 3, 4), *columns)), float(batch.total[0]))
 
 
 def optimal_k(ch: TwoQubitChannel, basis: TwoQubitBasis, lam: int) -> float:
@@ -546,6 +571,10 @@ def _sample(batch: Batch, trials: int, seed: int) -> MonteCarloReport:
 B_LO = 1e-6
 
 
+# The basis of fig1.
+_BELL = standard_bell()
+
+
 def fig1_grid(steps: int) -> np.ndarray:
     """The b grid of fig1: `steps` points from B_LO to 1/sqrt(2)."""
     steps = operator.index(steps)
@@ -562,14 +591,13 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     K=sqrt(2), which doubles the K=1 total. Returns the columns
     (b, p_opt, p_k1, p_ksqrt2).
     """
-    a, b = b_axis_channels(b)
-    h = 1.0 / math.sqrt(2.0)
-    inp = PureInputState(h, h)
-    pts = points(a, b, standard_bell(), "max-per-outcome")
-    p_opt = analytic_batch(inp, pts).total
-    # |a| and |b| are at most 1 at every valid point of the b axis, so
-    # each Bell-basis bound 1/max(|a|, |b|) is at least 1: K=1 is valid.
-    p_k1 = analytic_batch(inp, pts._replace(k=np.ones_like(pts.k))).total
+    b = np.asarray(b, dtype=float)
+    pts = points(b_axis_channels(b), _BELL, "max-per-outcome")
+    # The totals of analytic_batch, which p_alice does not enter. |a| and
+    # |b| are at most 1 at every valid point of the b axis, so each
+    # Bell-basis bound 1/max(|a|, |b|) is at least 1: K=1 is valid.
+    p_opt = _p_joint(pts, pts.k).sum(axis=-1)
+    p_k1 = _p_joint(pts, 1.0).sum(axis=-1)
     return b, p_opt, p_k1, 2.0 * p_k1
 
 

@@ -36,38 +36,6 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two vectors or two square matrices.
-
-    The left operand owns the most significant index: for vectors u and v,
-    tensor(u, v)[i * len(v) + j] == u[i] * v[j].
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != b.ndim:
-        raise ValueError("operands must both be vectors or both be matrices")
-    if a.ndim == 1:
-        return np.kron(as_vector(a), as_vector(b))
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def apply(m, v) -> np.ndarray:
-    """Matrix-vector product with a dimension check."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: operator is {m.shape[0]}x{m.shape[1]}, "
-            f"state has length {v.shape[0]}"
-        )
-    return m @ v
-
-
 def norm2(v):
     """Squared Euclidean norm over the last axis.
 
@@ -77,11 +45,6 @@ def norm2(v):
     """
     v = np.asarray(v, dtype=np.complex128)
     return (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real[()]
-
-
-def is_normalized(v, tol: float = DEFAULT_UNITARITY_TOL) -> bool:
-    """True when the squared norm is within tol of 1."""
-    return abs(norm2(as_vector(v)) - 1.0) <= tol
 
 
 def is_unitary(m, tol: float = DEFAULT_UNITARITY_TOL) -> bool:

@@ -66,7 +66,6 @@ def test_input_state_is_frozen():
 
 def test_channel_diagonal_constructor():
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
-    assert ch.is_diagonal
     assert np.array_equal(ch.vector(), np.array([0.8, 0, 0, 0.6], dtype=complex))
 
 

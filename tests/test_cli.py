@@ -213,13 +213,41 @@ def test_run_k_out_of_range_exits_two(capsys):
     assert "exceeds" in err
 
 
-def test_run_nondiagonal_channel_exits_two(capsys):
-    code, _, err = run_capture(
+def test_run_nondiagonal_channel_reports_total_one(capsys):
+    # psi+, which analyze calls Perfect, teleports with certainty at --k max
+    code, out, err = run_capture(
         capsys,
-        ["run", "--channel", "0,0.70710678118654752,0.70710678118654752,0"],
+        ["run", "--channel", "0,0.70710678118654752,0.70710678118654752,0", "--format", "csv"],
     )
-    assert code == 2
-    assert "off-diagonal" in err
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert [r[0] for r in rows] == ["analytic"] * 4 + ["simulated"] * 4
+    for row in rows:
+        assert float(row[7]) == pytest.approx(1.0, abs=1e-12)
+        assert float(row[6]) == pytest.approx(1.0, abs=1e-12)
+    _, out, _ = run_capture(capsys, ["analyze", "--channel", "0,0.70710678118654752,0.70710678118654752,0"])
+    assert "class: Perfect" in out
+
+
+def _literal(z):
+    z = complex(z)
+    return f"{z.real!r}{z.imag:+.17g}i"
+
+
+def test_run_reports_total_one_for_random_maximally_entangled_channels(capsys):
+    rng = np.random.default_rng(4242)
+    for _ in range(20):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        x = (q * (np.diag(r) / np.abs(np.diag(r)))).ravel() / math.sqrt(2.0)
+        channel = ",".join(map(_literal, x))
+        code, out, _ = run_capture(capsys, ["analyze", f"--channel={channel}"])
+        assert code == 0
+        assert "class: Perfect" in out
+        code, out, _ = run_capture(capsys, ["run", f"--channel={channel}", "--k", "max", "--format", "csv"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        for row in rows:
+            assert float(row[7]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_degenerate_basis_exits_two(capsys):
@@ -553,7 +581,8 @@ def test_sweep_grid_with_a_failing_point_exits_two_and_prints_nothing(capsys, ar
     assert "error" in err
 
 
-OFF_DIAGONAL = "0,0.70710678118654752,0.70710678118654752,0"
+# a product state with every amplitude nonzero
+OFF_DIAGONAL_PRODUCT = "0.5,0.5,0.5,0.5"
 B_SWEEP = ["sweep", "--param", "b", "--start", "0.3", "--stop", "0.6", "--steps", "3"]
 K_SWEEP = ["sweep", "--param", "k", "--start", "0.5", "--stop", "1", "--steps", "2",
            "--channel", "diag:0.8,0.6"]
@@ -572,7 +601,7 @@ MONTECARLO = ["montecarlo", "--channel", "diag:0.8,0.6", "--trials", "10"]
         pytest.param(RUN + ["--basis", "gbm:1,0"], None, 2, id="run-gbm-degenerate"),
         pytest.param(MONTECARLO + ["--basis", "gbm:1,0"], None, 2, id="mc-gbm-degenerate"),
         pytest.param(B_SWEEP + ["--basis", "gbm:1,0"], None, 2, id="sweep-gbm-degenerate"),
-        pytest.param(["run", "--channel", OFF_DIAGONAL], None, 2, id="off-diagonal-channel"),
+        pytest.param(["run", "--channel", OFF_DIAGONAL_PRODUCT], None, 2, id="off-diagonal-channel"),
         pytest.param(RUN + ["--k", "1.3"], None, 2, id="k-above-bound"),
         pytest.param(RUN + ["--k", "abc"], None, 1, id="k-not-a-number"),
         pytest.param(MONTECARLO, "many", 1, id="bad-seed-env"),

@@ -14,6 +14,7 @@ from telematch.measurement import (
     project,
     standard_bell,
 )
+from telematch.protocol import channel_points
 
 rng = np.random.default_rng(31415)
 
@@ -139,6 +140,16 @@ def test_branch_operators_diagonal_channel_golden():
     assert np.allclose(ops[0], math.sqrt(2.0) * np.diag([0.8, 0.6]), atol=1e-15)
 
 
+def test_branch_operators_are_twice_pref_times_the_kernels_outcome_operators():
+    # one product over the basis blocks gives sigma_lam; the kernels read
+    # tau_lam = sigma_lam / (2 pref) from the same blocks
+    for basis, pref in ((standard_bell(), H), (generalized_bell(0.6, 0.8), 1.0)):
+        ch = TwoQubitChannel(*random_state(4))
+        tau = channel_points(ch, basis, "max-global").tau[0]
+        ops = branch_operators(cpm(ch), basis)
+        assert np.allclose(np.stack(ops), 2.0 * pref * tau, atol=1e-14)
+
+
 def test_branch_operators_reject_wrong_shape():
     with pytest.raises(ValueError, match="2x2"):
         branch_operators(np.eye(4), standard_bell())
@@ -153,7 +164,7 @@ def test_branch_operator_route_matches_projection(basis_factory):
         inp = random_state(2)
         ch_vec = random_state(4)
         ch = TwoQubitChannel(*ch_vec)
-        total = qlinalg.tensor(inp, ch_vec)
+        total = np.kron(inp, ch_vec)
         ops = branch_operators(cpm(ch), basis)
         for lam in range(1, 5):
             _, receiver = project(total, basis, lam)
@@ -162,7 +173,7 @@ def test_branch_operator_route_matches_projection(basis_factory):
 
 
 def test_project_perfect_channel_probabilities_are_quarter():
-    total = qlinalg.tensor(random_state(2), np.array([H, 0, 0, H]))
+    total = np.kron(random_state(2), np.array([H, 0, 0, H]))
     for lam in range(1, 5):
         p, _ = project(total, standard_bell(), lam)
         assert p == pytest.approx(0.25, abs=1e-12)
@@ -171,7 +182,7 @@ def test_project_perfect_channel_probabilities_are_quarter():
 def test_project_partial_channel_probabilities_golden():
     inp = np.array([0.6, 0.8])
     ch = np.array([0.8, 0, 0, 0.6])
-    total = qlinalg.tensor(inp, ch)
+    total = np.kron(inp, ch)
     probs = [project(total, standard_bell(), lam)[0] for lam in range(1, 5)]
     assert probs == pytest.approx([0.2304, 0.2304, 0.2696, 0.2696], abs=1e-12)
 
@@ -194,7 +205,7 @@ def test_project_generalized_branch_amplitudes():
     # outcome 2 of the generalized basis weights the input by the
     # crossed products (a*b', b*a') with a sign the correction removes
     inp = np.array([0.6, 0.8])
-    total = qlinalg.tensor(inp, np.array([0.8, 0, 0, 0.6]))
+    total = np.kron(inp, np.array([0.8, 0, 0, 0.6]))
     _, receiver = project(total, generalized_bell(0.6, 0.8), 2)
     assert np.allclose(receiver, [0.8 * 0.8 * 0.6, -(0.6 * 0.6 * 0.8)], atol=1e-15)
 

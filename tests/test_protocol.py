@@ -9,15 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telematch import qlinalg
+from telematch import protocol, qlinalg
 from telematch.channel import (
+    ChannelClass,
     PureInputState,
     TwoQubitChannel,
     UnteleportableChannelError,
+    classify,
+    cpm,
 )
 from telematch.measurement import (
     DegenerateBasisError,
     InvalidBasisError,
+    branch_operators,
     generalized_bell,
     parse_basis,
     standard_bell,
@@ -28,12 +32,11 @@ from telematch.protocol import (
     MAX_TRIALS,
     KOutOfRangeError,
     KPolicy,
-    UnsupportedChannelError,
     analytic_batch,
     analytic_report,
     attach_ancilla,
     b_axis_channels,
-    branch_coefficients,
+    channel_points,
     evolve_and_measure,
     fig1_columns,
     fig1_data,
@@ -51,6 +54,15 @@ from telematch.protocol import (
 rng = np.random.default_rng(27182)
 
 H = 1.0 / math.sqrt(2.0)
+
+
+def diag_stack(a, b):
+    """(N, 2, 2) amplitude stack of the channels a|00> + b|11>."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    x = np.zeros(a.shape + (2, 2), dtype=complex)
+    x[..., 0, 0] = a
+    x[..., 1, 1] = b
+    return x
 
 GOLDEN_K1 = np.array(
     [
@@ -81,6 +93,11 @@ def random_input():
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v = v / np.linalg.norm(v)
     return PureInputState(v[0], v[1])
+
+
+def random_channel_vector():
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------- KPolicy
@@ -187,7 +204,7 @@ def test_matched_unitary_success_block_rescales_amplitudes():
     c0, c1, k = 0.7 * np.exp(0.3j), 0.5, 1.2
     u0, u1 = 0.6, 0.8j
     state = attach_ancilla([c0 * u0, c1 * u1])
-    out = qlinalg.apply(matched_unitary(c0, c1, k), state)
+    out = matched_unitary(c0, c1, k) @ state
     expected = k * c0 * c1 * np.array([u0, u1])
     assert np.allclose(out[:2], expected, atol=1e-12)
 
@@ -232,13 +249,37 @@ def test_evolve_and_measure_probabilities_are_exhaustive():
         state = attach_ancilla([c0 * v[0], c1 * v[1]])
         u = matched_unitary(c0, c1, k)
         p = evolve_and_measure(state, u)[0]
-        fail_weight = qlinalg.norm2(qlinalg.apply(u, state)[2:]) / qlinalg.norm2(state)
+        fail_weight = qlinalg.norm2((u @ state)[2:]) / qlinalg.norm2(state)
         assert p + fail_weight == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_and_measure_rejects_zero_state():
     with pytest.raises(ValueError, match="zero norm"):
         evolve_and_measure([0, 0, 0, 0], np.eye(4))
+
+
+def test_success_weight_does_not_depend_on_the_order_of_the_heralded_amplitudes():
+    # swapping the two ancilla-|0> rows keeps u unitary and only reorders
+    # the success amplitudes, as the filters of outcomes 3 and 4 do
+    for _ in range(200):
+        c0, c1 = random_angle_pair()
+        u = matched_unitary(c0, c1, rng.uniform(0.1, 1.0) * k_bound(c0, c1))
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        state = attach_ancilla(v)
+        swapped = u[[1, 0, 2, 3]]
+        assert evolve_and_measure(state, swapped)[0] == evolve_and_measure(state, u)[0]
+
+
+def test_kernel_dilation_is_the_full_dilation_on_an_ancilla_in_zero():
+    # the kernels apply only the columns that meet the ancilla in |0>;
+    # they must be those of the unitary matched_unitary returns
+    for _ in range(100):
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m *= rng.uniform(0.2, 1.0) / np.linalg.norm(m, 2)
+        full, kernel = protocol._dilation(m), protocol._dilation(m, full=False)
+        assert qlinalg.is_unitary(full, tol=1e-12)
+        assert np.array_equal(kernel[:, :2], full[:, :2])
+        assert not kernel[:, 2:].any()
 
 
 def test_pauli_correction_goldens():
@@ -256,52 +297,64 @@ def test_pauli_correction_goldens():
 
 # ------------------------------------------------- branch coefficients
 
+# tau_lam of a channel a|00> + b|11> is diag(c0, c1) @ P_lam, with P_lam the
+# signed permutation of the basis row and (c0, c1) the paper's coefficient pair
+P_LAM = [np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+         np.array([[0.0, -1.0], [1.0, 0.0]])]
+
 
 def test_branch_coefficients_bell_repeats_channel_pair():
-    ch = TwoQubitChannel.diagonal(0.8, 0.6)
-    pairs = branch_coefficients(ch, standard_bell())
-    assert pairs == ((0.8, 0.6),) * 4
+    tau = channel_points(TwoQubitChannel.diagonal(0.8, 0.6), standard_bell(), "max-global").tau[0]
+    for lam0 in range(4):
+        assert np.array_equal(tau[lam0], np.diag([0.8, 0.6]) @ P_LAM[lam0])
 
 
 def test_branch_coefficients_generalized_pairing():
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
-    pairs = branch_coefficients(ch, generalized_bell(0.6, 0.8))
+    tau = channel_points(ch, generalized_bell(0.6, 0.8), "max-global").tau[0]
     direct = (0.8 * 0.6, 0.6 * 0.8)
     crossed = (0.8 * 0.8, 0.6 * 0.6)
-    assert pairs == (direct, crossed, crossed, direct)
+    for lam0, pair in enumerate((direct, crossed, crossed, direct)):
+        assert np.array_equal(tau[lam0], np.diag(pair) @ P_LAM[lam0])
 
 
-def test_branch_coefficients_reject_nondiagonal_channel():
-    ch = TwoQubitChannel(0, H, H, 0)
-    with pytest.raises(UnsupportedChannelError, match="off-diagonal"):
-        branch_coefficients(ch, standard_bell())
+def test_outcome_operators_of_a_general_channel_are_its_branch_operators():
+    # tau_lam = sigma_lam / (2 pref), for channels off the a|00> + b|11> family too
+    for basis, pref in ((standard_bell(), H), (generalized_bell(0.6, 0.8), 1.0)):
+        for _ in range(10):
+            ch = TwoQubitChannel(*random_channel_vector())
+            tau = channel_points(ch, basis, "max-global").tau[0]
+            sigma = branch_operators(cpm(ch), basis)
+            for lam0 in range(4):
+                assert np.allclose(2.0 * pref * tau[lam0], sigma[lam0], atol=1e-14)
 
 
 def test_branch_coefficients_reject_unteleportable_channel():
     with pytest.raises(UnteleportableChannelError):
-        branch_coefficients(TwoQubitChannel.diagonal(1, 0), standard_bell())
+        channel_points(TwoQubitChannel.diagonal(1, 0), standard_bell(), "max-global")
+    with pytest.raises(UnteleportableChannelError):  # a product state off the diagonal
+        channel_points(TwoQubitChannel(0.5, 0.5, 0.5, 0.5), standard_bell(), "max-global")
 
 
 def test_branch_coefficients_reject_degenerate_basis():
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
     with pytest.raises(InvalidBasisError, match="zero"):
-        branch_coefficients(ch, generalized_bell(1.0, 0.0))
+        channel_points(ch, generalized_bell(1.0, 0.0), "max-per-outcome")
 
 
 def test_b_axis_beyond_the_double_range_is_refused_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, b = b_axis_channels([1e200, 2e200])
-        assert a.tolist() == [0.0, 0.0]
+        x = b_axis_channels([1e200, 2e200])
+        assert x[:, 0, 0].tolist() == [0.0, 0.0]
         with pytest.raises(ValueError, match="normalized"):
-            points(a, b, standard_bell(), "max-global")
+            points(x, standard_bell(), "max-global")
 
 
 def test_only_a_degenerate_basis_raises_degenerate_basis_error():
     # a valid basis that never heralds success, not a malformed basis literal
-    a, b = np.array([0.8]), np.array([0.6])
     with pytest.raises(DegenerateBasisError):
-        points(a, b, generalized_bell(1.0, 0.0), "max-per-outcome")
+        points(diag_stack([0.8], [0.6]), generalized_bell(1.0, 0.0), "max-per-outcome")
     for bad in ("gbm:0.5,0.5", "gbm:0.6", "magic"):
         with pytest.raises(InvalidBasisError) as info:
             parse_basis(bad)
@@ -414,11 +467,18 @@ def test_analytic_report_fixed_k_checked_against_every_outcome():
         analytic_report(PureInputState(H, H), ch, basis, KPolicy.fixed(2.0))
 
 
-def test_reports_reject_nondiagonal_channel():
+def test_reports_run_nondiagonal_channel():
+    # psi+ = (|01> + |10>)/sqrt(2) is maximally entangled: total 1 at the largest K
     ch = TwoQubitChannel(0, H, H, 0)
-    for fn in (analytic_report, simulate_report):
-        with pytest.raises(UnsupportedChannelError):
-            fn(PureInputState(H, H), ch, standard_bell(), KPolicy.fixed(1.0))
+    inp = PureInputState(0.6, 0.8j)
+    for policy in (KPolicy.max_global(), KPolicy.max_per_outcome()):
+        ana = analytic_report(inp, ch, standard_bell(), policy)
+        sim = simulate_report(inp, ch, standard_bell(), policy)
+        assert ana.total == pytest.approx(1.0, abs=1e-12)
+        assert sim.total == pytest.approx(1.0, abs=1e-12)
+        assert all(o.fidelity == pytest.approx(1.0, abs=1e-12) for o in sim.outcomes)
+    # K = 1 halves every outcome's filter determinant: 4 * (1/2) * (1/2)^2
+    assert analytic_report(inp, ch, standard_bell(), KPolicy.fixed(1.0)).total == pytest.approx(0.5)
 
 
 # ------------------------------------------------------ dual-route checks
@@ -806,7 +866,7 @@ def batches(draw):
     k = None
     if mode == "fixed":
         fractions = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
-        bounds = points(a, b, basis, "max-global").k[:, 0]
+        bounds = points(diag_stack(a, b), basis, "max-global").k[:, 0]
         k = np.array(fractions) * bounds
     return inp, np.array(a), np.array(b), basis, mode, k
 
@@ -815,7 +875,7 @@ def batches(draw):
 @settings(max_examples=100, deadline=None)
 def test_batch_elements_match_single_point_reports(case):
     inp, a, b, basis, mode, k = case
-    pts = points(a, b, basis, mode, k)
+    pts = points(diag_stack(a, b), basis, mode, k)
     ana, sim = analytic_batch(inp, pts), simulate_batch(inp, pts)
     for i in range(len(a)):
         ch = TwoQubitChannel.diagonal(a[i], b[i])
@@ -855,7 +915,7 @@ def large_batches(draw):
     mode = draw(st.sampled_from(K_POLICY_MODES))
     k = None
     if mode == "fixed":
-        k = gen.uniform(0.05, 1.0, n) * points(a, b, basis, "max-global").k[:, 0]
+        k = gen.uniform(0.05, 1.0, n) * points(diag_stack(a, b), basis, "max-global").k[:, 0]
     return inp, a, b, basis, mode, k
 
 
@@ -864,7 +924,7 @@ def large_batches(draw):
 def test_batch_elements_equal_single_point_reports_exactly(case):
     # numpy rounds each element of abs, * and + alike at any array length
     inp, a, b, basis, mode, k = case
-    pts = points(a, b, basis, mode, k)
+    pts = points(diag_stack(a, b), basis, mode, k)
     for kernel, report in ((analytic_batch, analytic_report), (simulate_batch, simulate_report)):
         batch = kernel(inp, pts)
         for i in range(len(a)):
@@ -884,17 +944,158 @@ def test_points_accept_every_channel_the_channel_class_accepts():
     bell = standard_bell()
     report = analytic_report(PureInputState(1.0, 0.0), ch, bell, KPolicy.max_global())
     assert report.total == pytest.approx(2.0 * abs(a * b) ** 2 / max(abs(a), abs(b)) ** 2)
-    assert points(np.array([a]), np.array([b]), bell, "fixed", 1.0).k[0, 0] == 1.0
+    assert points(diag_stack([a], [b]), bell, "fixed", 1.0).k[0, 0] == 1.0
 
 
 def test_points_first_failing_point_decides_the_error():
     bell = standard_bell()
-    a, b = np.array([0.8, 1.0, 0.6]), np.array([0.6, 0.0, 0.8])
+    x = diag_stack([0.8, 1.0, 0.6], [0.6, 0.0, 0.8])
     with pytest.raises(UnteleportableChannelError):
-        points(a, b, bell, "fixed", np.array([1.0, 1.0, 5.0]))
+        points(x, bell, "fixed", np.array([1.0, 1.0, 5.0]))
     with pytest.raises(KOutOfRangeError, match="exceeds"):
-        points(a, b, bell, "fixed", np.array([5.0, 1.0, 1.0]))
+        points(x, bell, "fixed", np.array([5.0, 1.0, 1.0]))
     with pytest.raises(KOutOfRangeError, match="finite positive"):
-        points(a, b, bell, "fixed", np.array([-1.0, 1.0, 1.0]))
+        points(x, bell, "fixed", np.array([-1.0, 1.0, 1.0]))
+    with pytest.raises(KOutOfRangeError, match="finite positive"):
+        points(x, bell, "fixed", np.array([np.nan, 1.0, 1.0]))
     with pytest.raises(ValueError, match="normalized"):
-        points(np.array([0.9, 1.0]), np.array([0.9, 0.0]), bell, "max-global")
+        points(diag_stack([0.9, 1.0], [0.9, 0.0]), bell, "max-global")
+
+
+def test_points_refuse_a_stack_that_is_not_n_by_2_by_2():
+    # a flat channel, two flat channels, and one channel without the N axis;
+    # (a, b) arrays of unequal lengths used to fail with an IndexError instead
+    bell = standard_bell()
+    for x, shape in ((np.array([0.8, 0, 0, 0.6]), "(4,)"), (np.zeros((2, 4)), "(2, 4)"),
+                     (diag_stack([0.8], [0.6])[0], "(2, 2)")):
+        with pytest.raises(ValueError, match=r"must be an \(N, 2, 2\) stack") as info:
+            points(x, bell, "max-global")
+        assert f"got shape {shape}" in str(info.value)
+
+
+def test_points_refuse_a_k_array_of_another_length():
+    # formerly numpy's "operands could not be broadcast together with shapes (2,) (3,)"
+    with pytest.raises(ValueError, match=r"got shape \(3,\) for 2 points"):
+        points(diag_stack([0.8, 0.6], [0.6, 0.8]), standard_bell(), "fixed", np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"got shape \(2, 1\) for 2 points"):
+        points(diag_stack([0.8, 0.6], [0.6, 0.8]), standard_bell(), "fixed", np.ones((2, 1)))
+
+
+def test_k_bound_is_the_diagonal_case_of_the_general_bound():
+    # 1/s_max(diag(c0, c1)) equals 1/max(|c0|, |c1|) bit for bit
+    c0 = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+    c1 = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+    assert np.array_equal(k_bound(c0, c1), 1.0 / np.maximum(np.abs(c0), np.abs(c1)))
+
+
+# ---------------------------------------------------- general pure channels
+
+
+def random_unitary(gen):
+    q, r = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def general_cases(draw):
+    """A random pure channel with Schmidt coefficients (cos t, sin t), a
+    basis, a K policy and an input state.
+
+    The amplitude matrix is U diag(cos t, sin t) V^T with random unitaries
+    U and V, so the channel is off the a|00> + b|11> family; t >= 0.05
+    keeps the smaller Schmidt coefficient, sin t, away from 0.
+    """
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    t = draw(st.floats(min_value=0.05, max_value=math.pi / 4))
+    x = random_unitary(gen) @ np.diag([math.cos(t), math.sin(t)]) @ random_unitary(gen).T
+    if draw(st.booleans()):
+        basis = standard_bell()
+    else:
+        theta = draw(st.floats(min_value=0.1, max_value=math.pi / 2 - 0.1))
+        basis = generalized_bell(math.cos(theta), math.sin(theta))
+    mode = draw(st.sampled_from(K_POLICY_MODES))
+    k = None
+    if mode == "fixed":
+        k = draw(st.floats(min_value=0.05, max_value=1.0)) * points(x[None], basis, "max-global").k[0, 0]
+    psi = gen.normal(size=2) + 1j * gen.normal(size=2)
+    psi /= np.linalg.norm(psi)
+    return x, math.sin(t), basis, mode, k, PureInputState(psi[0], psi[1])
+
+
+def _channel(x):
+    return TwoQubitChannel(*x.ravel())
+
+
+@given(general_cases())
+@settings(max_examples=150, deadline=None)
+def test_general_channels_analytic_and_simulated_agree_with_fidelity_one(case):
+    x, _, basis, mode, k, inp = case
+    policy = KPolicy(mode, k)
+    ana = analytic_report(inp, _channel(x), basis, policy)
+    sim = simulate_report(inp, _channel(x), basis, policy)
+    assert abs(ana.total - sim.total) <= 1e-12
+    for a, b in zip(ana.outcomes, sim.outcomes):
+        for field in REPORT_FIELDS:
+            assert abs(getattr(a, field) - getattr(b, field)) <= 1e-12
+        assert abs(b.fidelity - 1.0) <= 1e-12
+
+
+@given(general_cases())
+@settings(max_examples=150, deadline=None)
+def test_total_never_exceeds_twice_the_smaller_schmidt_coefficient_squared(case):
+    x, lam_min, basis, mode, k, inp = case
+    assert np.linalg.svd(cpm(_channel(x)) / math.sqrt(2.0), compute_uv=False)[1] == pytest.approx(lam_min)
+    total = analytic_report(inp, _channel(x), basis, KPolicy(mode, k)).total
+    assert total <= 2.0 * lam_min**2 + 1e-12
+    if basis.kind == "bell" and mode == "max-per-outcome":
+        assert total == pytest.approx(2.0 * lam_min**2, abs=1e-12)
+
+
+@given(general_cases(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_total_is_invariant_under_local_unitaries(case, seed):
+    # receiver-side rotations for both bases, rotations on both sides for
+    # the Bell basis, whose blocks are unitary
+    x, _, basis, mode, k, inp = case
+    gen = np.random.default_rng(seed)
+    sender = random_unitary(gen) if basis.kind == "bell" else np.eye(2)
+    rotated = sender @ x @ random_unitary(gen).T
+    policy = KPolicy(mode, None if k is None else 0.999999 * k)
+    before = analytic_report(inp, _channel(x), basis, policy).total
+    after = analytic_report(inp, _channel(rotated), basis, policy).total
+    assert after == pytest.approx(before, abs=1e-12)
+
+
+def test_gbm_max_per_outcome_total_closed_form_example():
+    # diag(.8, .6) with gbm(.9, sqrt(.19)): 2 [min(.72, .6 sqrt .19)^2 + min(.8 sqrt .19, .54)^2]
+    ch = TwoQubitChannel.diagonal(0.8, 0.6)
+    basis = generalized_bell(0.9, math.sqrt(0.19))
+    total = analytic_report(PureInputState(H, H), ch, basis, KPolicy.max_per_outcome()).total
+    assert total == pytest.approx(0.38, abs=1e-12)
+
+
+@given(
+    st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05),
+    st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05),
+    phase,
+    phase,
+)
+@settings(max_examples=200, deadline=None)
+def test_gbm_max_per_outcome_total_without_ordering_assumptions(t, t_p, phase_a, phase_b):
+    # each outcome runs at its own bound, whatever the orderings of |a|, |b|, a', b'
+    a, b = math.cos(t) * cmath.exp(1j * phase_a), math.sin(t) * cmath.exp(1j * phase_b)
+    ap, bp = math.cos(t_p), math.sin(t_p)
+    expected = 2.0 * (min(abs(a * ap), abs(b * bp)) ** 2 + min(abs(a * bp), abs(b * ap)) ** 2)
+    for kernel in (analytic_batch, simulate_batch):
+        pts = points(diag_stack([a], [b]), generalized_bell(ap, bp), "max-per-outcome")
+        assert kernel(PureInputState(H, H), pts).total[0] == pytest.approx(expected, abs=1e-12)
+
+
+def test_maximally_entangled_channels_are_perfect_and_run_at_total_one():
+    for _ in range(50):
+        x = random_unitary(rng) / math.sqrt(2.0)
+        ch = _channel(x)
+        assert classify(ch) is ChannelClass.PERFECT
+        for report in (analytic_report, simulate_report):
+            rep = report(random_input(), ch, standard_bell(), KPolicy.max_global())
+            assert rep.total == pytest.approx(1.0, abs=1e-12)
