@@ -49,14 +49,16 @@ EXIT_DOMAIN = 2
 
 SEED_ENV = "TELEMATCH_SEED"
 
-# Largest grid `sweep` and `fig1` accept. A sweep's kernels hold every
-# grid point at once, about 3 KB per point, so about 300 MB at the cap.
+# Largest grid `sweep` and `fig1` accept. Both compute in blocks; a
+# sweep holds its CSV text, about 55 bytes per point, until the last
+# block and then joins it: 12 MB peak under tracemalloc at the cap.
 MAX_STEPS = 100_000
 
-# fig1 rows computed and formatted per kernel call. Blocks keep the
-# kernels' arrays and the formatter's floats small whatever --steps is;
-# on a 20000-step fig1 the whole grid at once raised peak RSS by 4 MB.
-FIG1_BLOCK = 1024
+# Grid points computed and formatted per kernel call by `sweep` and
+# `fig1`. Blocks keep the kernels' arrays and the formatter's temporaries
+# small whatever --steps is: a 20000-point sweep over the whole grid at
+# once peaked at 59.5 MB under tracemalloc.
+GRID_BLOCK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,12 +77,6 @@ def _check_steps(steps: int, least: int) -> None:
         raise ValueError(f"--steps must be between {least} and {MAX_STEPS}, got {steps}")
 
 
-def _write_rows(columns, out) -> None:
-    """Write one CSV row per index of equal-length columns."""
-    row = ",".join(["%.15g"] * len(columns)) + "\n"
-    out.write((row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist()))
-
-
 def _input_state(args) -> PureInputState:
     if (args.alpha is None) != (args.beta is None):
         raise ValueError("--alpha and --beta must be given together")
@@ -91,13 +87,16 @@ def _input_state(args) -> PureInputState:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+    name, seed = "--seed", args.seed
+    if seed is None:
+        name, raw = SEED_ENV, os.environ.get(SEED_ENV, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _literals(args):
@@ -184,6 +183,8 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .csvtext import rows_text  # its tables are built on first use, not at startup
+
     basis = parse_basis(args.basis)
     inp = _input_state(args)
     _check_steps(args.steps, 1)
@@ -194,29 +195,41 @@ def cmd_sweep(args) -> int:
             raise error(f"{flag} must be finite, got {value!r}")
         if args.param == "b" and not -1.0 <= value <= 1.0:
             raise ValueError(f"{flag} must lie in [-1, 1] for a b sweep, got {value!r}")
-    grid = np.linspace(args.start, args.stop, args.steps)
     if args.param == "k":
         if args.channel is None:
             raise ValueError("sweeping k needs --channel")
         if args.k != "max":  # the default, which a K sweep ignores
             raise ValueError("sweeping k takes K from the grid; drop --k")
-        pts = channel_points(parse_channel(args.channel), basis, "fixed", grid)
+        ch = parse_channel(args.channel)
+
+        def block_points(g):
+            return channel_points(ch, basis, "fixed", g)
     else:
         if args.channel is not None:
             raise ValueError("sweeping b derives the channel; drop --channel")
         policy = KPolicy.parse(args.k)
-        pts = points(b_axis_channels(grid), basis, policy.mode, policy.k)
-    ana = analytic_batch(inp, pts).total
-    sim = simulate_batch(inp, pts).total
-    sys.stdout.write(f"{args.param},analytic_total,simulated_total\n")
-    _write_rows((grid, ana, sim), sys.stdout)
+
+        def block_points(g):
+            return points(b_axis_channels(g), basis, policy.mode, policy.k)
+    # a failing point in any block leaves stdout empty
+    text = [f"{args.param},analytic_total,simulated_total\n"]
+    for g in _blocks(np.linspace(args.start, args.stop, args.steps)):
+        pts = block_points(g)
+        text.append(rows_text((g, analytic_batch(inp, pts).total, simulate_batch(inp, pts).total)))
+    sys.stdout.write("".join(text))
     return EXIT_OK
 
 
+def _blocks(grid):
+    return (grid[start:start + GRID_BLOCK] for start in range(0, len(grid), GRID_BLOCK))
+
+
 def _write_fig1(grid, out) -> None:
+    from .csvtext import rows_text  # its tables are built on first use, not at startup
+
     out.write("b,p_opt,p_k1,p_ksqrt2\n")
-    for start in range(0, len(grid), FIG1_BLOCK):
-        _write_rows(fig1_columns(grid[start:start + FIG1_BLOCK]), out)
+    for g in _blocks(grid):
+        out.write(rows_text(fig1_columns(g)))
 
 
 def cmd_fig1(args) -> int:

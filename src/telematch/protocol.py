@@ -542,13 +542,16 @@ def monte_carlo(
 
     Outcome counts ~ Multinomial(trials, p_alice), then success counts
     ~ Binomial(count, p_bob) per outcome: the law of `trials` runs, at
-    a cost independent of trials. A seed always reproduces its counts.
+    a cost independent of trials. A seed, any non-negative integer,
+    always reproduces its counts.
     std_err is the binomial standard error of p_hat.
     """
     trials = operator.index(trials)
     seed = operator.index(seed)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     batch = analytic_batch(inp, channel_points(ch, basis, policy.mode, policy.k))
     return _sample(batch, trials, seed)
 

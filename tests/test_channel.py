@@ -224,7 +224,7 @@ unit_angle = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 
 
 @given(unit_angle, unit_angle)
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_diagonal_channels_from_angles_always_classify(theta, phase):
     ch = TwoQubitChannel.diagonal(math.cos(theta), math.sin(theta) * np.exp(1j * phase))
     cls = classify(ch)

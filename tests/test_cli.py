@@ -317,6 +317,22 @@ def test_montecarlo_bad_seed_env_exits_one(capsys, monkeypatch):
     assert SEED_ENV in err
 
 
+@pytest.mark.parametrize(
+    "extra, env, message",
+    [
+        (["--seed=-1"], None, "--seed must be a non-negative integer, got -1"),
+        ([], "-3", f"{SEED_ENV} must be a non-negative integer, got -3"),
+        (["--seed=-2"], "5", "--seed must be a non-negative integer, got -2"),
+    ],
+)
+def test_montecarlo_negative_seed_names_its_source(capsys, monkeypatch, extra, env, message):
+    if env is None:
+        monkeypatch.delenv(SEED_ENV, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV, env)
+    assert run_capture(capsys, MONTECARLO + extra) == (1, "", f"telematch: error: {message}\n")
+
+
 def test_montecarlo_rejects_zero_trials(capsys):
     code, _, _ = run_capture(
         capsys, ["montecarlo", "--channel", "diag:0.8,0.6", "--trials", "0"]
@@ -564,6 +580,23 @@ def test_steps_above_cap_refused_before_any_allocation(capsys, argv):
     assert peak < MAX_STEPS
 
 
+def test_sweep_memory_does_not_grow_with_the_whole_grid(capsys):
+    argv = ["sweep", "--param", "b", "--start", "0.05", "--stop", "0.7", "--steps"]
+    run_cli(argv + ["400"])  # parser, modules and formatter tables built outside the trace
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_cli(argv + ["20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert len(out.splitlines()) == 20001
+    # a quarter of the 59.5 MB that the kernels took over the whole grid at once
+    assert peak < 59.5e6 / 4
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -605,6 +638,8 @@ MONTECARLO = ["montecarlo", "--channel", "diag:0.8,0.6", "--trials", "10"]
         pytest.param(RUN + ["--k", "1.3"], None, 2, id="k-above-bound"),
         pytest.param(RUN + ["--k", "abc"], None, 1, id="k-not-a-number"),
         pytest.param(MONTECARLO, "many", 1, id="bad-seed-env"),
+        pytest.param(MONTECARLO + ["--seed=-1"], None, 1, id="negative-seed"),
+        pytest.param(MONTECARLO, "-3", 1, id="negative-seed-env"),
         pytest.param(["fig1", "--out", "{tmp}/missing/curves.csv"], None, 1, id="fig1-unwritable"),
         # K sweeps take K from the grid
         pytest.param(K_SWEEP + ["--k", "99"], None, 1, id="k-sweep-with-k"),

@@ -1,0 +1,120 @@
+import contextlib
+import io
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import telematch.csvtext
+from telematch.cli import main
+from telematch.csvtext import _P10, _P10_LO, VECTOR_MIN, _vector_rows, rows_text
+
+
+def _reference_rows(columns) -> str:
+    """The CSV writer before the vector path: one `%` pass over the values."""
+    row = ",".join(["%.15g"] * len(columns)) + "\n"
+    return (row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
+
+
+def _assert_same_text(values, ncols=1):
+    table = np.asarray(values, dtype=float).reshape(-1, ncols)
+    columns = list(table.T)
+    expected = _reference_rows(columns)
+    assert _vector_rows(table) == expected
+    assert rows_text(columns) == expected
+
+
+tables = st.integers(1, 3).flatmap(
+    lambda ncols: arrays(np.float64, st.tuples(st.integers(1, 300), st.just(ncols)),
+                         elements=st.floats(width=64))
+)
+
+
+@given(tables)
+@settings(max_examples=300)
+def test_vector_text_equals_the_reference_on_any_doubles(table):
+    _assert_same_text(table, table.shape[1])
+
+
+def _neighbours(x, ulps=3):
+    out = [x]
+    lo = hi = x
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+EXPLICIT = {
+    "ties": [1234567890123455.0, 999999999999999.5, 100000000000000.5, 0.5, 2.5,
+             *((2 * k + 1) * 5e-16 for k in range(2000))],
+    "powers of ten": [v for p in range(-307, 309) for v in _neighbours(10.0 ** p, 1)],
+    "notation bounds": [v for x in (1e-5, 1e-4, 1e15, 1e16, 9.9999999999999995e-5,
+                                    999999999999999.4, 999999999999999.6)
+                        for v in _neighbours(x, 8)],
+    "extremes": [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 0.0, -0.0, np.nan, np.inf, -np.inf,
+                 *_neighbours(1e-290), *_neighbours(1e290), *_neighbours(1e-100), *_neighbours(1e100)],
+    "short decimals": [0.05, 0.18, 0.0648, 0.98, 0.979999999999999, 1.0, 10.0, 123456.0,
+                       1e14, 123456789012345.0, 0.1, 0.2, 0.3, 0.7],
+}
+
+
+@pytest.mark.parametrize("name", EXPLICIT)
+def test_vector_text_equals_the_reference_on_hard_cases(name):
+    values = np.array(EXPLICIT[name], dtype=float)
+    _assert_same_text(np.concatenate([values, -values]))
+
+
+def test_vector_text_equals_the_reference_on_random_bit_patterns():
+    bits = np.random.default_rng(5).integers(0, 2**64, 60000, dtype=np.uint64, endpoint=False)
+    _assert_same_text(bits.view(np.float64), 3)
+
+
+def test_vector_text_equals_the_reference_on_grid_like_values():
+    b = np.linspace(1e-6, 2**-0.5, 50000)
+    _assert_same_text(np.column_stack([b, 2 * b * b, b * b * (1 - b * b)]), 3)
+
+
+def test_power_table_is_within_one_eps():
+    # the fallback band assumes s = |x| 10^(14-e) within a few eps
+    eps = Fraction(float(np.finfo(np.longdouble).eps))
+    for p, v in enumerate(_P10, _P10_LO):
+        exact = Fraction(10) ** p
+        assert abs(Fraction(*v.as_integer_ratio()) - exact) <= eps * exact, p
+
+
+@pytest.mark.skipif(not np.isfinite(VECTOR_MIN), reason="long double is plain double here")
+def test_blocks_below_the_vector_minimum_take_the_scalar_path(monkeypatch):
+    monkeypatch.setattr(telematch.csvtext, "_vector_rows", None)
+    columns = list(np.random.default_rng(6).random((3, (VECTOR_MIN - 1) // 3)))
+    assert rows_text(columns) == _reference_rows(columns)
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+SWEEPS = [
+    ["sweep", "--param=b", "--start=-0.7", "--stop=0.69", "--steps=5000", f"--basis={basis}",
+     f"--k={k}", "--alpha=0.6", "--beta=0.8i"]
+    for basis in ("bell", "gbm:0.6,0.8") for k in ("max", "per-outcome", "0.9")
+] + [
+    ["sweep", "--param=k", "--start=0.01", "--stop=1.2", "--steps=5000", f"--basis={basis}",
+     "--channel=diag:0.8,0.6i", "--alpha=0.6i", "--beta=-0.8"]
+    for basis in ("bell", "gbm:0.6,0.8")
+]
+
+
+@pytest.mark.parametrize("argv", [["fig1", "--steps=20000"], *SWEEPS],
+                         ids=lambda argv: " ".join(argv[:2] + argv[5:7]))
+def test_cli_output_equals_the_reference_writer(monkeypatch, argv):
+    text = _stdout(argv)
+    monkeypatch.setattr(telematch.csvtext, "rows_text", _reference_rows)
+    assert text == _stdout(argv)

@@ -630,6 +630,12 @@ def test_monte_carlo_is_deterministic_per_seed():
     assert mc3 != mc1
 
 
+def test_monte_carlo_refuses_a_negative_seed():
+    ch = TwoQubitChannel.diagonal(0.8, 0.6)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        monte_carlo(PureInputState(H, H), ch, standard_bell(), KPolicy.fixed(1.0), 100, -1)
+
+
 def test_monte_carlo_agrees_with_analytic():
     inp = PureInputState(H, H)
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
@@ -872,7 +878,7 @@ def batches(draw):
 
 
 @given(batches())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_batch_elements_match_single_point_reports(case):
     inp, a, b, basis, mode, k = case
     pts = points(diag_stack(a, b), basis, mode, k)
@@ -920,7 +926,7 @@ def large_batches(draw):
 
 
 @given(large_batches())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_batch_elements_equal_single_point_reports_exactly(case):
     # numpy rounds each element of abs, * and + alike at any array length
     inp, a, b, basis, mode, k = case
@@ -1027,7 +1033,7 @@ def _channel(x):
 
 
 @given(general_cases())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_general_channels_analytic_and_simulated_agree_with_fidelity_one(case):
     x, _, basis, mode, k, inp = case
     policy = KPolicy(mode, k)
@@ -1041,7 +1047,7 @@ def test_general_channels_analytic_and_simulated_agree_with_fidelity_one(case):
 
 
 @given(general_cases())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_total_never_exceeds_twice_the_smaller_schmidt_coefficient_squared(case):
     x, lam_min, basis, mode, k, inp = case
     assert np.linalg.svd(cpm(_channel(x)) / math.sqrt(2.0), compute_uv=False)[1] == pytest.approx(lam_min)
@@ -1052,7 +1058,7 @@ def test_total_never_exceeds_twice_the_smaller_schmidt_coefficient_squared(case)
 
 
 @given(general_cases(), st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_total_is_invariant_under_local_unitaries(case, seed):
     # receiver-side rotations for both bases, rotations on both sides for
     # the Bell basis, whose blocks are unitary
@@ -1080,7 +1086,7 @@ def test_gbm_max_per_outcome_total_closed_form_example():
     phase,
     phase,
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_gbm_max_per_outcome_total_without_ordering_assumptions(t, t_p, phase_a, phase_b):
     # each outcome runs at its own bound, whatever the orderings of |a|, |b|, a', b'
     a, b = math.cos(t) * cmath.exp(1j * phase_a), math.sin(t) * cmath.exp(1j * phase_b)

@@ -106,7 +106,7 @@ vec2 = st.lists(finite_complex, min_size=2, max_size=2).map(
 
 
 @given(vec2, vec2)
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_tensor_norm_is_multiplicative(u, v):
     lhs = qlinalg.norm2(np.kron(u, v))
     rhs = qlinalg.norm2(u) * qlinalg.norm2(v)
