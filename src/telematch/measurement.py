@@ -154,15 +154,19 @@ def branch_operators(x_cpm, basis: TwoQubitBasis) -> tuple[np.ndarray, ...]:
 
 
 def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Project a stack of three-qubit states onto every basis outcome.
+    """Project a batch of N three-qubit states onto every basis outcome.
 
-    `states` has shape (..., 8), laid out as in `project`. Returns the
-    outcome probabilities, shape (..., 4), and the unnormalized
-    receiver states, shape (..., 4, 2). Inputs are not validated.
+    states[m, q3, n] is the amplitude of point n on |m>|q3>, m = 2 q1 + q2
+    the measured pair (see `project`), shape (4, 2, N). One 2-D product
+    conj(T) @ states gives the unnormalized receiver states over (outcome,
+    q3, point), shape (4, 2, N); their squared norms, shape (4, N), are the
+    outcome probabilities. Inputs are not validated.
     """
-    blocks = states.reshape(states.shape[:-1] + (1, 4, 2))
-    receivers = (basis.t_matrix.conj()[:, None, :] @ blocks)[..., 0, :]
-    return qlinalg.norm2(receivers), receivers
+    receivers = (basis.t_matrix.conj() @ states.reshape(4, -1)).reshape(states.shape)
+    sq = receivers.view(np.float64)  # real and imaginary parts interleaved
+    sq = sq * sq
+    sq = sq[..., 0::2] + sq[..., 1::2]
+    return sq[:, 0] + sq[:, 1], receivers
 
 
 def project(total, basis: TwoQubitBasis, lam: int) -> tuple[float, np.ndarray]:
@@ -178,8 +182,8 @@ def project(total, basis: TwoQubitBasis, lam: int) -> tuple[float, np.ndarray]:
     v = qlinalg.as_vector(total)
     if v.shape[0] != 8:
         raise ValueError(f"total state must have length 8, got {v.shape[0]}")
-    probs, receivers = project_all(v, basis)
-    return probs[lam - 1], receivers[lam - 1]
+    probs, receivers = project_all(v.reshape(4, 2, 1), basis)
+    return probs[lam - 1, 0], receivers[lam - 1, :, 0]
 
 
 def parse_basis(text: str) -> TwoQubitBasis:
