@@ -22,6 +22,7 @@ give blocks @ A.reshape(4) = tau_lam[k, i] over (i, k, lam).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,13 @@ class TwoQubitBasis:
 
 
 def _check_lam(lam: int) -> None:
-    if lam not in (1, 2, 3, 4):
+    """Refuse any outcome label but an integer 1..4: a bool or a whole float
+    such as 2.0 labels no outcome."""
+    try:
+        ok = not isinstance(lam, bool) and 1 <= operator.index(lam) <= 4
+    except TypeError:
+        ok = False
+    if not ok:
         if isinstance(lam, np.generic):
             lam = lam.item()  # 7, not np.int64(7)
         raise ValueError(f"outcome label must be 1..4, got {lam!r}")

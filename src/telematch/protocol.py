@@ -19,11 +19,14 @@ part that maps ancilla |0> to |0> and the only one any reported number
 reads (`matched_unitary` alone builds the whole dilation). `points`
 validates a batch and resolves K once; the report functions,
 `monte_carlo` and `fig1_data` call the kernels, a single report being
-the N=1 case.
+the N=1 case. The scalar functions read their point through a small
+memo (`_report_points`), so an analytic and a simulated report on one
+point validate it once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -252,7 +255,16 @@ def _sqrt_complement(gd: np.ndarray, g01: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _dilation(m: np.ndarray) -> np.ndarray:
-    """[[M, sqrt(I - M M^dag)], [sqrt(I - M^dag M), -M^dag]] for contractions m (..., 2, 2)."""
+    """[[M, sqrt(I - M M^dag)], [sqrt(I - M^dag M), -M^dag]] for contractions m (..., 2, 2).
+
+    Unitary to about 1e-16 for diagonal m, the only kind `matched_unitary`
+    passes, but only to about 1e-16 / sqrt(tr A + 2 sqrt(det A)), A = I - G,
+    for a non-diagonal contraction near norm 1: the two square roots come from
+    separately rounded Gram matrices G (|U U^dag - I| up to 3.3e-8 for general
+    channels at the Bell basis's max-global K). The columns that meet the
+    ancilla in |0> stay an isometry to about 1e-15; a caller that needs the
+    whole unitary of a general contraction must not count on more.
+    """
     u = np.zeros(m.shape[:-2] + (4, 4), dtype=np.complex128)
     flat = u.reshape(m.shape[:-2] + (16,))  # u[..., r, c] is flat[..., 4r + c]
     u[..., :2, :2] = m
@@ -434,6 +446,21 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
     return Points(basis, x, tau, ks)
 
 
+# A few kB in all: enough for callers that take turns over a few points.
+@functools.lru_cache(maxsize=32)
+def _report_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k) -> Points:
+    """`channel_points` for one point of the scalar API, memoized.
+
+    Keyed by the channel's value, the basis object (bases compare by
+    identity) and the policy's mode and K. The arrays are read-only, as
+    every caller shares them. A refused point raises and is not stored.
+    """
+    pts = channel_points(ch, basis, mode, k)
+    for a in pts[1:]:
+        a.setflags(write=False)
+    return pts
+
+
 def b_axis_channels(b) -> np.ndarray:
     """Amplitude stack of the channels sqrt(1 - b^2)|00> + b|11>."""
     b = np.asarray(b, dtype=float)
@@ -500,7 +527,7 @@ def _report(batch: Batch) -> ProtocolReport:
 def optimal_k(ch: TwoQubitChannel, basis: TwoQubitBasis, lam: int) -> float:
     """Largest K valid for outcome lam of this channel and basis."""
     _check_lam(lam)
-    return float(channel_points(ch, basis, "max-per-outcome").k[0, lam - 1])
+    return float(_report_points(ch, basis, "max-per-outcome", None).k[0, lam - 1])
 
 
 def analytic_report(
@@ -510,7 +537,7 @@ def analytic_report(
     policy: KPolicy,
 ) -> ProtocolReport:
     """Closed-form per-outcome probabilities and fidelities (see analytic_batch)."""
-    return _report(analytic_batch(inp, channel_points(ch, basis, policy.mode, policy.k)))
+    return _report(analytic_batch(inp, _report_points(ch, basis, policy.mode, policy.k)))
 
 
 def simulate_report(
@@ -520,7 +547,7 @@ def simulate_report(
     policy: KPolicy,
 ) -> ProtocolReport:
     """Run the protocol by brute-force state evolution (see simulate_batch)."""
-    return _report(simulate_batch(inp, channel_points(ch, basis, policy.mode, policy.k)))
+    return _report(simulate_batch(inp, _report_points(ch, basis, policy.mode, policy.k)))
 
 
 def monte_carlo(
@@ -545,21 +572,21 @@ def monte_carlo(
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    batch = analytic_batch(inp, channel_points(ch, basis, policy.mode, policy.k))
+    batch = analytic_batch(inp, _report_points(ch, basis, policy.mode, policy.k))
     return _sample(batch, trials, seed)
 
 
 def _sample(batch: Batch, trials: int, seed: int) -> MonteCarloReport:
     """monte_carlo on the first point of an analytic batch."""
     rng = np.random.default_rng(seed)
-    outcomes = rng.multinomial(trials, batch.p_alice[0])
-    # binomial refuses the p_bob of 1 + 1ulp that perfect channels give
-    successes = rng.binomial(outcomes, np.minimum(batch.p_bob[0], 1.0))
-    p_hat = int(successes.sum()) / trials
+    outcomes = rng.multinomial(trials, batch.p_alice[0]).tolist()
+    # Four scalar draws: the same counts and generator state as one array call,
+    # at less than half its cost. binomial refuses the p_bob of 1 + 1ulp that
+    # perfect channels give.
+    successes = [rng.binomial(n, min(p, 1.0)) for n, p in zip(outcomes, batch.p_bob[0].tolist())]
+    p_hat = sum(successes) / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return MonteCarloReport(
-        trials, seed, tuple(outcomes.tolist()), tuple(successes.tolist()), p_hat, std_err
-    )
+    return MonteCarloReport(trials, seed, tuple(outcomes), tuple(successes), p_hat, std_err)
 
 
 # Smallest b on the comparison grid. Kept strictly positive so the

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -1147,3 +1148,163 @@ def test_maximally_entangled_channels_are_perfect_and_run_at_total_one():
         for report in (analytic_report, simulate_report):
             rep = report(random_input(), ch, standard_bell(), KPolicy.max_global())
             assert rep.total == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------------- outcome labels
+
+LAM_CALLERS = {
+    "pauli_correction": pauli_correction,
+    "basis.state": standard_bell().state,
+    "project": lambda lam: project(np.full(8, 0.5**1.5), standard_bell(), lam),
+    "optimal_k": lambda lam: optimal_k(TwoQubitChannel.diagonal(0.8, 0.6), standard_bell(), lam),
+}
+
+
+@pytest.mark.parametrize("caller", LAM_CALLERS)
+@pytest.mark.parametrize(
+    "lam, shown",
+    [(2.0, "2.0"), (np.float64(3), "3.0"), (True, "True"), (np.True_, "True"), (0, "0"),
+     (5, "5"), (np.int64(7), "7"), ("1", "'1'"), (None, "None")],
+)
+def test_outcome_labels_are_integers_one_to_four(caller, lam, shown):
+    with pytest.raises(ValueError, match=f"^outcome label must be 1\\.\\.4, got {shown}$"):
+        LAM_CALLERS[caller](lam)
+
+
+@pytest.mark.parametrize("caller", LAM_CALLERS)
+def test_integer_labels_of_any_integer_type_are_accepted(caller):
+    for lam in (1, np.int64(2), np.uint8(3), 4):
+        LAM_CALLERS[caller](lam)
+
+
+# ------------------------------------------------------------ point memo
+
+POINT_MEMO = protocol._report_points
+
+
+def _direct_reports(inp, ch, basis, policy):
+    """Both reports from points resolved afresh, without the memo."""
+    return tuple(
+        protocol._report(kernel(inp, channel_points(ch, basis, policy.mode, policy.k)))
+        for kernel in (analytic_batch, simulate_batch)
+    )
+
+
+def _count_channel_points(monkeypatch):
+    calls = []
+    original = protocol.channel_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "channel_points", counting)
+    return calls
+
+
+@given(general_cases(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100)
+def test_reports_through_the_memo_equal_the_kernels_on_fresh_points(case, seed):
+    x, _, drawn_basis, mode, k, inp = case
+    ch = _channel(x)
+    # the drawn point, then other keys of the same channel, which must not
+    # read its point
+    keys = [(drawn_basis, KPolicy(mode, k))]
+    for basis in (drawn_basis, standard_bell()):
+        half = 0.5 * channel_points(ch, basis, "max-global").k[0, 0]
+        keys += [(basis, policy) for policy in (KPolicy.max_global(), KPolicy.max_per_outcome(),
+                                                KPolicy.fixed(half))]
+    for basis, policy in keys:
+        ana, sim = _direct_reports(inp, ch, basis, policy)
+        for _ in range(2):  # a miss, then hits
+            assert analytic_report(inp, ch, basis, policy) == ana
+            assert simulate_report(inp, ch, basis, policy) == sim
+        pts = channel_points(ch, basis, policy.mode, policy.k)
+        assert monte_carlo(inp, ch, basis, policy, 1000, seed) == protocol._sample(
+            analytic_batch(inp, pts), 1000, seed
+        )
+        per_outcome = channel_points(ch, basis, "max-per-outcome").k[0].tolist()
+        assert [optimal_k(ch, basis, lam) for lam in (1, 2, 3, 4)] == per_outcome
+
+
+def _signed_zero_variants(amplitudes):
+    """The channels with these amplitudes and every sign of their zero parts."""
+    parts = [p for z in map(complex, amplitudes) for p in (z.real, z.imag)]
+    for signed in itertools.product(*((p,) if p else (0.0, -0.0) for p in parts)):
+        yield TwoQubitChannel(*map(complex, signed[0::2], signed[1::2]))
+
+
+@pytest.mark.parametrize(
+    "amplitudes", [(0.8, 0.0, 0.0, 0.6), (0.6, 0.0, 0.0, 0.8j), (0.5, 0.5j, -0.5, 0.5)]
+)
+def test_channels_equal_up_to_signed_zeros_give_identical_reports(amplitudes):
+    inp = PureInputState(0.6, 0.8j)
+    variants = list(_signed_zero_variants(amplitudes))
+    assert len(set(variants)) == 1 and len(variants) > 1
+    for basis in (standard_bell(), generalized_bell(0.6, 0.8)):
+        for policy in (KPolicy.fixed(0.5), KPolicy.max_global(), KPolicy.max_per_outcome()):
+            for first in (variants[0], variants[-1]):
+                POINT_MEMO.cache_clear()
+                analytic_report(inp, first, basis, policy)  # memoizes first's point
+                for ch in variants:
+                    memo = tuple(report(inp, ch, basis, policy)
+                                 for report in (analytic_report, simulate_report))
+                    assert repr(memo) == repr(_direct_reports(inp, ch, basis, policy))
+
+
+def test_memoized_points_are_read_only():
+    pts = POINT_MEMO(TwoQubitChannel(0.6, 0.0, 0.0, 0.8), standard_bell(), "max-global", None)
+    for name in ("x", "tau", "k"):
+        array = getattr(pts, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
+@pytest.mark.parametrize(
+    "ch, basis, policy, error",
+    [
+        (TwoQubitChannel.diagonal(0.8, 0.6), standard_bell(), KPolicy.fixed(2.0),
+         KOutOfRangeError),
+        (TwoQubitChannel.diagonal(1.0, 0.0), standard_bell(), KPolicy.max_global(),
+         UnteleportableChannelError),
+        (TwoQubitChannel.diagonal(0.8, 0.6), generalized_bell(1.0, 0.0), KPolicy.max_per_outcome(),
+         DegenerateBasisError),
+    ],
+)
+def test_a_refused_point_raises_on_every_call(ch, basis, policy, error):
+    inp = PureInputState(1.0, 0.0)
+    messages = []
+    for report in (analytic_report, simulate_report, analytic_report):
+        with pytest.raises(error) as info:
+            report(inp, ch, basis, policy)
+        assert type(info.value) is error
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    assert POINT_MEMO.cache_info().currsize == 0
+
+
+def test_the_memo_recomputes_its_oldest_point_after_maxsize_others(monkeypatch):
+    calls = _count_channel_points(monkeypatch)
+    maxsize = POINT_MEMO.cache_info().maxsize
+    basis = standard_bell()
+    channels = [TwoQubitChannel.diagonal(math.cos(t), math.sin(t))
+                for t in np.linspace(0.1, 0.7, maxsize + 1).tolist()]
+    for ch in channels:
+        optimal_k(ch, basis, 1)
+    assert len(calls) == maxsize + 1
+    optimal_k(channels[-1], basis, 2)  # the newest point is still there
+    assert len(calls) == maxsize + 1
+    optimal_k(channels[0], basis, 1)  # the oldest was dropped
+    assert len(calls) == maxsize + 2
+
+
+def test_a_report_pair_resolves_its_point_once(monkeypatch):
+    calls = _count_channel_points(monkeypatch)
+    args = PureInputState(0.6, 0.8), TwoQubitChannel.diagonal(0.8, 0.6), generalized_bell(0.6, 0.8)
+    for policy in (KPolicy.fixed(1.0), KPolicy.max_global(), KPolicy.max_per_outcome()):
+        calls.clear()
+        analytic_report(*args, policy)
+        simulate_report(*args, policy)
+        monte_carlo(*args, policy, 1000, 5)
+        assert len(calls) == 1
