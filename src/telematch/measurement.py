@@ -21,6 +21,7 @@ give blocks @ A.reshape(4) = tau_lam[k, i] over (i, k, lam).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -48,14 +49,16 @@ class TwoQubitBasis:
 
     kind is 'bell' for the standard basis or 'gbm' for the generalized
     family; a_p and b_p are the generalized coefficients (None for
-    'bell'). Rows of t_matrix must be orthonormal. pref2 (pref^2, 1/2
-    for 'bell' and 1 for 'gbm') and blocks (see module doc) are derived.
+    'bell'). Rows of t_matrix must be orthonormal. t_conj (conj(T), the
+    factor of every projection), pref2 (pref^2, 1/2 for 'bell' and 1 for
+    'gbm') and blocks (see module doc) are derived; all arrays are read-only.
     """
 
     kind: str
     a_p: float | None
     b_p: float | None
     t_matrix: np.ndarray
+    t_conj: np.ndarray = field(init=False, repr=False)
     pref2: float = field(init=False, repr=False)
     blocks: np.ndarray = field(init=False, repr=False)
 
@@ -65,15 +68,18 @@ class TwoQubitBasis:
         t = np.asarray(self.t_matrix, dtype=np.complex128)
         if t.shape != (4, 4):
             raise InvalidBasisError(f"basis matrix must be 4x4, got {t.shape}")
-        gram = t @ t.conj().T
+        t_conj = t.conj()
+        gram = t @ t_conj.T
         if float(np.max(np.abs(gram - np.eye(4)))) > ORTHONORMALITY_TOL:
             raise InvalidBasisError("basis rows are not orthonormal")
         t.setflags(write=False)
+        t_conj.setflags(write=False)
         object.__setattr__(self, "t_matrix", t)
+        object.__setattr__(self, "t_conj", t_conj)
         bell = self.kind == "bell"
         object.__setattr__(self, "pref2", 0.5 if bell else 1.0)
         # blocks[i, k, lam, j, k] = conj(T[lam, 2i + j]) / pref: +-1 or 0 for Bell
-        g = t.conj().reshape(4, 2, 2).transpose(1, 0, 2) / (1.0 / SQRT2 if bell else 1.0)
+        g = t_conj.reshape(4, 2, 2).transpose(1, 0, 2) / (1.0 / SQRT2 if bell else 1.0)
         blocks = np.zeros((2, 2, 4, 2, 2), dtype=np.complex128)
         for k in range(2):
             blocks[:, k, :, :, k] = g
@@ -104,8 +110,13 @@ def _check_lam(lam: int) -> None:
         raise ValueError(f"outcome label must be 1..4, got {lam!r}")
 
 
+@functools.cache
 def standard_bell() -> TwoQubitBasis:
-    """The four Bell states, rows ordered (phi+, phi-, psi+, psi-)."""
+    """The four Bell states, rows ordered (phi+, phi-, psi+, psi-).
+
+    Built on the first call; every call returns that one instance, so
+    reports on it share their resolved points (bases compare by identity).
+    """
     h = 1.0 / SQRT2
     t = np.array(
         [
@@ -124,7 +135,9 @@ def generalized_bell(a_p: float, b_p: float) -> TwoQubitBasis:
 
     Rows are a_p|00> + b_p|11>, b_p|00> - a_p|11>, a_p|01> + b_p|10>,
     b_p|01> - a_p|10>. Requires a_p^2 + b_p^2 = 1; real coefficients
-    keep the rows orthonormal.
+    keep the rows orthonormal. Calls with the same coefficients, signed
+    zeros told apart, return one instance while it stays among the 32
+    most recently used.
     """
     if isinstance(a_p, complex) or isinstance(b_p, complex):
         if complex(a_p).imag != 0 or complex(b_p).imag != 0:
@@ -138,6 +151,15 @@ def generalized_bell(a_p: float, b_p: float) -> TwoQubitBasis:
             f"basis coefficients must satisfy a'^2 + b'^2 = 1, "
             f"got {a_p * a_p + b_p * b_p!r}"
         )
+    # -0.0 and 0.0 compare and hash equal; their signs keep them apart
+    return _generalized_bell(a_p, b_p, math.copysign(1.0, a_p), math.copysign(1.0, b_p))
+
+
+# About 2 kB per basis.
+@functools.lru_cache(maxsize=32)
+def _generalized_bell(a_p: float, b_p: float, *signs: float) -> TwoQubitBasis:
+    """`generalized_bell` on validated coefficients, memoized; `signs`, the
+    coefficients' signs, only tell -0.0 from 0.0 in the key."""
     t = np.array(
         [
             [a_p, 0, 0, b_p],
@@ -169,7 +191,7 @@ def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, n
     q3, point), shape (4, 2, N); their squared norms, shape (4, N), are the
     outcome probabilities. Inputs are not validated.
     """
-    receivers = (basis.t_matrix.conj() @ states.reshape(4, -1)).reshape(states.shape)
+    receivers = (basis.t_conj @ states.reshape(4, -1)).reshape(states.shape)
     sq = receivers.view(np.float64)  # real and imaginary parts interleaved
     sq = sq * sq
     sq = sq[..., 0::2] + sq[..., 1::2]

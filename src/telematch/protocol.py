@@ -138,7 +138,13 @@ class KPolicy:
         return cls.fixed(k)
 
 
-@dataclass(frozen=True)
+# The two report types below write their fields straight into __dict__: the
+# generated __init__ of a frozen dataclass calls object.__setattr__ once per
+# field, which took most of the time of building a report. Their eq, hash, repr
+# and frozenness stay the generated ones, and replace calls this __init__.
+
+
+@dataclass(frozen=True, init=False)
 class OutcomeReport:
     """Per-outcome numbers for one run of the protocol."""
 
@@ -149,11 +155,25 @@ class OutcomeReport:
     p_joint: float
     fidelity: float
 
+    def __init__(self, lam, k_used, p_alice, p_bob, p_joint, fidelity):
+        fields = self.__dict__
+        fields["lam"] = lam
+        fields["k_used"] = k_used
+        fields["p_alice"] = p_alice
+        fields["p_bob"] = p_bob
+        fields["p_joint"] = p_joint
+        fields["fidelity"] = fidelity
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ProtocolReport:
     outcomes: tuple[OutcomeReport, ...]
     total: float
+
+    def __init__(self, outcomes, total):
+        fields = self.__dict__
+        fields["outcomes"] = outcomes
+        fields["total"] = total
 
 
 @dataclass(frozen=True)
@@ -233,8 +253,14 @@ def k_bound(c0, c1):
 def _filters(tau: np.ndarray, k) -> np.ndarray:
     """K * adj(tau) = K [[t11, -t01], [-t10, t00]] over the last two axes, computed on
     the transposes, so that a Fortran-ordered tau gives a Fortran-ordered result."""
+    return _filters_transposed(tau, k).T
+
+
+def _filters_transposed(tau: np.ndarray, k) -> np.ndarray:
+    """`_filters` in the layout of tau.T: entry [j, i] is (K adj(tau))[..., i, j], one
+    contiguous block of a Fortran-ordered tau and k."""
     signs = _ADJUGATE_SIGNS.reshape((2, 2) + (1,) * (tau.ndim - 2))
-    return (tau.T[::-1, ::-1].swapaxes(0, 1) * (signs * np.transpose(k))).T
+    return tau.T[::-1, ::-1].swapaxes(0, 1) * (signs * k.T)
 
 
 def _sqrt_complement(gd: np.ndarray, g01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -421,28 +447,30 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
             ks[:] = np.minimum.reduce(bounds, axis=1)[:, None]
         else:
             ks = bounds
-    for i in fails.nonzero()[0]:
-        if unnormalized is not None and unnormalized[i]:
-            # raises its own error, unless its scalar moduli, which may
-            # differ from numpy's in the last bit, pass the tolerance
-            TwoQubitChannel(*x[i].ravel().tolist())
-        if mode == "fixed":
-            KPolicy.fixed(float(ks[i, 0]))  # raises for a K that is not finite and positive
-        if unentangled[i]:
-            raise UnteleportableChannelError(
-                "channel carries no entanglement; nothing can be teleported"
-            )
-        if degenerate:
-            raise DegenerateBasisError(
-                "basis coefficients too close to zero: some outcome would "
-                "never herald success"
-            )
-        if mode == "fixed" and not fits[i].all():
-            lam0 = int(fits[i].argmin())
-            raise KOutOfRangeError(
-                f"K={float(ks[i, 0])!r} exceeds the bound "
-                f"{float(bounds[i, lam0])!r} of outcome {lam0 + 1}"
-            )
+    # np.count_nonzero: at N=1 ndarray.any costs more than the empty loop it skips
+    if np.count_nonzero(fails):
+        for i in fails.nonzero()[0]:
+            if unnormalized is not None and unnormalized[i]:
+                # raises its own error, unless its scalar moduli, which may
+                # differ from numpy's in the last bit, pass the tolerance
+                TwoQubitChannel(*x[i].ravel().tolist())
+            if mode == "fixed":
+                KPolicy.fixed(float(ks[i, 0]))  # raises for a K that is not finite and positive
+            if unentangled[i]:
+                raise UnteleportableChannelError(
+                    "channel carries no entanglement; nothing can be teleported"
+                )
+            if degenerate:
+                raise DegenerateBasisError(
+                    "basis coefficients too close to zero: some outcome would "
+                    "never herald success"
+                )
+            if mode == "fixed" and not fits[i].all():
+                lam0 = int(fits[i].argmin())
+                raise KOutOfRangeError(
+                    f"K={float(ks[i, 0])!r} exceeds the bound "
+                    f"{float(bounds[i, lam0])!r} of outcome {lam0 + 1}"
+                )
     return Points(basis, x, tau, ks)
 
 
@@ -507,11 +535,11 @@ def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
     # states[2 q1 + q2, q3, n], input qubit q1 most significant as in np.kron(psi_in, channel)
     states = (psi_in[:, None, None, None] * pts.x.transpose(1, 2, 0)).reshape(4, 2, -1)
     p_alice, r = project_all(states, pts.basis)
-    m = _filters(pts.tau, pts.k).T  # m[j, i] is M[..., i, j] over (outcome, point)
+    m = _filters_transposed(pts.tau, pts.k)  # m[j, i] is M[..., i, j] over (outcome, point)
     succ = m[0] * r[:, 0] + m[1] * r[:, 1]
     succ_w = _success_weight(succ)
     succ /= np.sqrt(np.maximum(succ_w, _TINY))
-    overlap = np.abs(psi_in[0].conjugate() * succ[0] + psi_in[1].conjugate() * succ[1])
+    overlap = np.abs(inp.alpha.conjugate() * succ[0] + inp.beta.conjugate() * succ[1])
     fidelity = overlap * overlap
     p_bob = succ_w / p_alice
     p_joint = p_alice * p_bob
@@ -520,8 +548,9 @@ def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
 
 def _report(batch: Batch) -> ProtocolReport:
     """The single point of an N=1 batch as a report."""
-    columns = [field[0].tolist() for field in batch[:5]]
-    return ProtocolReport(tuple(map(OutcomeReport, (1, 2, 3, 4), *columns)), float(batch.total[0]))
+    k_used, p_alice, p_bob, p_joint, fidelity = [column[0].tolist() for column in batch[:5]]
+    outcomes = tuple(map(OutcomeReport, (1, 2, 3, 4), k_used, p_alice, p_bob, p_joint, fidelity))
+    return ProtocolReport(outcomes, float(batch.total[0]))
 
 
 def optimal_k(ch: TwoQubitChannel, basis: TwoQubitBasis, lam: int) -> float:
@@ -594,10 +623,6 @@ def _sample(batch: Batch, trials: int, seed: int) -> MonteCarloReport:
 B_LO = 1e-6
 
 
-# The basis of fig1.
-_BELL = standard_bell()
-
-
 def fig1_grid(steps: int) -> np.ndarray:
     """The b grid of fig1: `steps` points from B_LO to 1/sqrt(2)."""
     steps = operator.index(steps)
@@ -615,7 +640,7 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     (b, p_opt, p_k1, p_ksqrt2).
     """
     b = np.asarray(b, dtype=float)
-    pts = points(b_axis_channels(b), _BELL, "max-per-outcome")
+    pts = points(b_axis_channels(b), standard_bell(), "max-per-outcome")
     # The totals of analytic_batch, which p_alice does not enter. |a| and
     # |b| are at most 1 at every valid point of the b axis, so each
     # Bell-basis bound 1/max(|a|, |b|) is at least 1: K=1 is valid.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from telematch import qlinalg
+from telematch import measurement, qlinalg
 from telematch.channel import TwoQubitChannel, cpm
 from telematch.measurement import (
     InvalidBasisError,
@@ -109,6 +109,46 @@ def test_basis_matrix_is_read_only():
     basis = standard_bell()
     with pytest.raises(ValueError):
         basis.t_matrix[0, 0] = 2.0
+
+
+def test_each_basis_is_built_once():
+    assert standard_bell() is standard_bell()
+    assert parse_basis(" Bell ") is standard_bell()
+    gbm = generalized_bell(0.6, 0.8)
+    assert generalized_bell(0.6, 0.8) is gbm
+    assert parse_basis("gbm:0.6,0.8") is gbm
+    assert generalized_bell(0.6 + 0j, np.float64(0.8)) is gbm
+    assert generalized_bell(0.8, 0.6) is not gbm
+
+
+def test_signed_zero_coefficients_give_distinct_bases():
+    # -0.0 == 0.0 and hash(-0.0) == hash(0.0), but each basis keeps its signs
+    for a_p, b_p in ((-0.0, 1.0), (0.0, 1.0), (1.0, -0.0), (1.0, 0.0)):
+        basis = generalized_bell(a_p, b_p)
+        assert (math.copysign(1.0, basis.a_p), math.copysign(1.0, basis.b_p)) == (
+            math.copysign(1.0, a_p), math.copysign(1.0, b_p))
+        assert generalized_bell(a_p, b_p) is basis
+    assert generalized_bell(-0.0, 1.0) is not generalized_bell(0.0, 1.0)
+    assert generalized_bell(-0.0, 1.0).t_matrix.tobytes() != generalized_bell(0.0, 1.0).t_matrix.tobytes()
+
+
+def test_the_basis_cache_is_bounded():
+    maxsize = measurement._generalized_bell.cache_info().maxsize
+    first = generalized_bell(1.0, 0.0)
+    for t in np.linspace(0.1, 1.4, maxsize).tolist():
+        generalized_bell(math.cos(t), math.sin(t))
+    rebuilt = generalized_bell(1.0, 0.0)
+    assert rebuilt is not first
+    assert rebuilt.t_matrix.tobytes() == first.t_matrix.tobytes()
+
+
+@pytest.mark.parametrize("basis_factory", [standard_bell, lambda: generalized_bell(0.6, 0.8)])
+def test_shared_basis_arrays_are_read_only(basis_factory):
+    basis = basis_factory()
+    assert np.array_equal(basis.t_conj, basis.t_matrix.conj())
+    for name in ("t_matrix", "t_conj", "blocks"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(basis, name)[0, 0] = 2.0
 
 
 def test_state_accessors():

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import telematch
 
 
@@ -7,3 +12,18 @@ def test_public_names_resolve_and_are_sorted():
     missing = [name for name in telematch.__all__ if not hasattr(telematch, name)]
     assert missing == []
     assert "DegenerateBasisError" in telematch.__all__
+
+
+def test_importing_the_cli_builds_nothing_a_command_needs():
+    # A cold start pays for imports alone: the CSV writer's tables, the
+    # argument parser and the bases are built on first use.
+    code = (
+        "import sys, telematch.cli as cli, telematch.measurement as m\n"
+        "print('telematch.csvtext' in sys.modules, cli._parser.cache_info().currsize,\n"
+        "      m.standard_bell.cache_info().currsize, m._generalized_bell.cache_info().currsize)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split() == ["False", "0", "0", "0"]

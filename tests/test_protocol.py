@@ -1,5 +1,7 @@
 import cmath
+import copy
 import dataclasses
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -34,6 +36,9 @@ from telematch.protocol import (
     MAX_TRIALS,
     KOutOfRangeError,
     KPolicy,
+    MonteCarloReport,
+    OutcomeReport,
+    ProtocolReport,
     analytic_batch,
     analytic_report,
     attach_ancilla,
@@ -1308,3 +1313,64 @@ def test_a_report_pair_resolves_its_point_once(monkeypatch):
         simulate_report(*args, policy)
         monte_carlo(*args, policy, 1000, 5)
         assert len(calls) == 1
+
+
+def test_a_report_pair_on_bases_named_twice_resolves_its_point_once():
+    # each call names the basis afresh, as a caller that does not keep one would
+    inp, ch, policy = PureInputState(0.6, 0.8), TwoQubitChannel.diagonal(0.8, 0.6), KPolicy.max_global()
+    for basis in (standard_bell, lambda: generalized_bell(0.6, 0.8), lambda: parse_basis("gbm:0.6,0.8")):
+        POINT_MEMO.cache_clear()
+        analytic_report(inp, ch, basis(), policy)
+        simulate_report(inp, ch, basis(), policy)
+        info = POINT_MEMO.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+# --------------------------------------------------------- report types
+
+_OUTCOME = OutcomeReport(2, 1.25, 0.375, 0.5, 0.1875, 1.0)
+
+REPORT_TYPES = [
+    pytest.param(
+        OutcomeReport,
+        (2, 1.25, 0.375, 0.5, 0.1875, 1.0),
+        "OutcomeReport(lam=2, k_used=1.25, p_alice=0.375, p_bob=0.5, p_joint=0.1875, fidelity=1.0)",
+        id="outcome",
+    ),
+    pytest.param(
+        ProtocolReport,
+        ((_OUTCOME,), 0.1875),
+        f"ProtocolReport(outcomes=({_OUTCOME!r},), total=0.1875)",
+        id="protocol",
+    ),
+    pytest.param(
+        MonteCarloReport,
+        (1000, 7, (250, 250, 250, 250), (60, 0, 125, 250), 0.435, 0.015676),
+        "MonteCarloReport(trials=1000, seed=7, outcome_counts=(250, 250, 250, 250), "
+        "success_counts=(60, 0, 125, 250), p_hat=0.435, std_err=0.015676, "
+        "sampler='multinomial-binomial')",
+        id="montecarlo",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, values, text", REPORT_TYPES)
+def test_report_types_are_frozen_value_objects(cls, values, text):
+    names = [f.name for f in dataclasses.fields(cls)]
+    rep = cls(*values)
+    assert list(inspect.signature(cls).parameters) == names
+    assert repr(rep) == text
+    assert [getattr(rep, name) for name in names][:len(values)] == list(values)
+    assert set(vars(rep)) == set(names)
+    for twin in (cls(*values), cls(**dict(zip(names, values))), copy.deepcopy(rep)):
+        assert twin == rep and hash(twin) == hash(rep) and twin is not rep
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rep, names[1], values[1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(rep, names[0])
+    changed = dataclasses.replace(rep, **{names[1]: values[0]})
+    assert getattr(changed, names[1]) == values[0] and changed != rep
+    assert dataclasses.replace(changed, **{names[1]: values[1]}) == rep
+    assert repr(rep) == text  # replace made copies
+    with pytest.raises(TypeError):
+        cls(values[0])  # every field but the sampler is required
