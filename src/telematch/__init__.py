@@ -42,15 +42,12 @@ from .protocol import (
     ProtocolReport,
     analytic_batch,
     analytic_report,
-    attach_ancilla,
     channel_points,
-    evolve_and_measure,
     fig1_data,
     k_bound,
     matched_unitary,
     monte_carlo,
     optimal_k,
-    pauli_correction,
     points,
     simulate_batch,
     simulate_report,
@@ -77,13 +74,11 @@ __all__ = [
     "__version__",
     "analytic_batch",
     "analytic_report",
-    "attach_ancilla",
     "branch_operators",
     "channel_points",
     "classify",
     "concurrence",
     "cpm",
-    "evolve_and_measure",
     "fig1_data",
     "format_complex",
     "generalized_bell",
@@ -94,7 +89,6 @@ __all__ = [
     "parse_basis",
     "parse_channel",
     "parse_complex",
-    "pauli_correction",
     "points",
     "project",
     "simulate_batch",

@@ -87,15 +87,6 @@ class TwoQubitBasis:
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 
-    def state(self, lam: int) -> np.ndarray:
-        """Basis state for outcome lam (1..4) as a 4-vector."""
-        _check_lam(lam)
-        return self.t_matrix[lam - 1].copy()
-
-    @property
-    def states(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.t_matrix[i].copy() for i in range(4))
-
 
 def _check_lam(lam: int) -> None:
     """Refuse any outcome label but an integer 1..4: a bool or a whole float

@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qlinalg
 from .channel import (
     NORMALIZATION_TOL,
     PureInputState,
@@ -61,16 +60,6 @@ K_POLICY_MODES = ("fixed", "max-global", "max-per-outcome")
 
 # Most trials monte_carlo takes: numpy draws the counts as int64.
 MAX_TRIALS = 2**63 - 1
-
-PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-# Correction per outcome after `matched_unitary`: identity, phase flip, bit flip, both.
-_CORRECTIONS = np.stack([PAULI["I"], PAULI["Z"], PAULI["X"], PAULI["Z"] @ PAULI["X"]])
 
 # Signs that turn the flipped transpose [[t11, t01], [t10, t00]] into adj(t).
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -250,15 +239,10 @@ def k_bound(c0, c1):
         return _k_bounds(_diagonal(c0, c1))
 
 
-def _filters(tau: np.ndarray, k) -> np.ndarray:
-    """K * adj(tau) = K [[t11, -t01], [-t10, t00]] over the last two axes, computed on
-    the transposes, so that a Fortran-ordered tau gives a Fortran-ordered result."""
-    return _filters_transposed(tau, k).T
-
-
 def _filters_transposed(tau: np.ndarray, k) -> np.ndarray:
-    """`_filters` in the layout of tau.T: entry [j, i] is (K adj(tau))[..., i, j], one
-    contiguous block of a Fortran-ordered tau and k."""
+    """The filters K * adj(tau) = K [[t11, -t01], [-t10, t00]] in the layout of tau.T:
+    entry [j, i] is (K adj(tau))[..., i, j], one contiguous block of a Fortran-ordered
+    tau and k."""
     signs = _ADJUGATE_SIGNS.reshape((2, 2) + (1,) * (tau.ndim - 2))
     return tau.T[::-1, ::-1].swapaxes(0, 1) * (signs * k.T)
 
@@ -323,22 +307,7 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
         raise KOutOfRangeError(
             f"K={k!r} outside (0, {bound!r}] for coefficients ({complex(c0)!r}, {complex(c1)!r})"
         )
-    return _dilation(_filters(_diagonal(c0, c1), np.float64(k)))
-
-
-def attach_ancilla(receiver) -> np.ndarray:
-    """Extend a receiver qubit state with an ancilla in |0>."""
-    v = qlinalg.as_vector(receiver)
-    if v.shape[0] != 2:
-        raise ValueError(f"receiver state must have length 2, got {v.shape[0]}")
-    psi = np.zeros(4, dtype=np.complex128)
-    psi[:2] = v
-    return psi
-
-
-def _normalized(v: np.ndarray, weight) -> np.ndarray:
-    """v / sqrt(weight) over the last axis; v = 0 stays 0 where weight is 0."""
-    return v / np.sqrt(np.maximum(weight, _TINY))[..., None]
+    return _dilation(_filters_transposed(_diagonal(c0, c1), np.float64(k)).T)
 
 
 def _success_weight(amplitudes: np.ndarray):
@@ -347,32 +316,6 @@ def _success_weight(amplitudes: np.ndarray):
     s = amplitudes.astype(np.clongdouble)
     w = (s * s.conj()).real
     return (w[0] + w[1]).astype(float)
-
-
-def evolve_and_measure(state, u) -> tuple[float, np.ndarray, np.ndarray]:
-    """Apply u to (receiver, ancilla) and read the ancilla.
-
-    Returns (success probability, receiver state on ancilla |0>,
-    receiver state on ancilla |1>), both conditional states normalized.
-    The input state may be unnormalized; the probability is relative to
-    its weight.
-    """
-    v = qlinalg.as_vector(state)
-    if v.shape[0] != 4:
-        raise ValueError(f"state must have length 4, got {v.shape[0]}")
-    weight = qlinalg.norm2(v)
-    if weight <= 1e-30:
-        raise ValueError("state has zero norm")
-    out = qlinalg.as_matrix(u) @ v
-    succ_w = _success_weight(out[:2])
-    fail = out[2:]
-    return float(succ_w / weight), _normalized(out[:2], succ_w), _normalized(fail, qlinalg.norm2(fail))
-
-
-def pauli_correction(lam: int) -> np.ndarray:
-    """Pauli rotation that restores the input state for outcome lam."""
-    _check_lam(lam)
-    return _CORRECTIONS[lam - 1].copy()
 
 
 def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
@@ -502,7 +445,10 @@ def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
     p_alice is the chance the sender sees each outcome, p_bob the
     conditional chance the ancilla heralds success, and p_joint their
     product; p_joint never depends on the input amplitudes. Fidelity
-    is exactly 1 on every success branch.
+    is exactly 1 on every success branch. At each outcome's own maximal K
+    the total is pref^2 sum_lam s_min(tau_lam)^2: for a|00> + b|11> in
+    gbm(a', b') that is 2 min(|a|, |b|, |a'|, |b'|)^2, a plateau at
+    2 lambda_min^2 (Vidal's bound), on which the Bell basis always sits.
     """
     tau = pts.tau
     # tau @ (alpha, beta) elementwise: a matmul may round differently

@@ -36,17 +36,6 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-def norm2(v):
-    """Squared Euclidean norm over the last axis.
-
-    A 1-D vector gives a scalar, a stack of vectors an array of norms.
-    The product goes through matmul, which rounds each norm exactly as
-    np.vdot does for a single vector.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    return (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real[()]
-
-
 def is_unitary(m, tol: float = DEFAULT_UNITARITY_TOL) -> bool:
     """True when max |(M M† - I)_ij| <= tol."""
     m = as_matrix(m)

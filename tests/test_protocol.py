@@ -41,10 +41,8 @@ from telematch.protocol import (
     ProtocolReport,
     analytic_batch,
     analytic_report,
-    attach_ancilla,
     b_axis_channels,
     channel_points,
-    evolve_and_measure,
     fig1_columns,
     fig1_data,
     fig1_grid,
@@ -52,7 +50,6 @@ from telematch.protocol import (
     matched_unitary,
     monte_carlo,
     optimal_k,
-    pauli_correction,
     points,
     simulate_batch,
     simulate_report,
@@ -210,71 +207,16 @@ def test_matched_unitary_success_block_rescales_amplitudes():
     # out proportional to (u0, u1) with weight (k*c0*c1)^2
     c0, c1, k = 0.7 * np.exp(0.3j), 0.5, 1.2
     u0, u1 = 0.6, 0.8j
-    state = attach_ancilla([c0 * u0, c1 * u1])
+    state = np.array([c0 * u0, c1 * u1, 0, 0])
     out = matched_unitary(c0, c1, k) @ state
     expected = k * c0 * c1 * np.array([u0, u1])
     assert np.allclose(out[:2], expected, atol=1e-12)
 
 
-# ------------------------------------------- ancilla evolve and measure
-
-
-def test_attach_ancilla_golden():
-    assert np.array_equal(attach_ancilla([1, 0]), np.array([1, 0, 0, 0], dtype=complex))
-    assert np.array_equal(
-        attach_ancilla([0.48, 0.36]), np.array([0.48, 0.36, 0, 0], dtype=complex)
-    )
-
-
-def test_attach_ancilla_rejects_wrong_length():
-    with pytest.raises(ValueError, match="length 2"):
-        attach_ancilla([1, 0, 0, 0])
-
-
-def test_evolve_and_measure_partial_channel_golden():
-    # branch of the 0.8/0.6 channel with a balanced input at K=1:
-    # success chance (0.48)^2 / 0.5 = 0.4608
-    state = attach_ancilla([0.8 * H, 0.6 * H])
-    p, success, fail = evolve_and_measure(state, matched_unitary(0.8, 0.6, 1.0))
-    assert p == pytest.approx(0.4608, abs=1e-12)
-    assert np.allclose(success, [H, H], atol=1e-12)
-    assert qlinalg.norm2(fail) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_evolve_and_measure_perfect_channel_is_certain():
-    state = attach_ancilla([H * H, H * H])
-    p, success, _ = evolve_and_measure(state, matched_unitary(H, H, math.sqrt(2.0)))
-    assert p == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(success, [H, H], atol=1e-9)
-
-
-def test_evolve_and_measure_probabilities_are_exhaustive():
-    for _ in range(20):
-        c0, c1 = random_angle_pair()
-        k = rng.uniform(0.1, 1.0) * k_bound(c0, c1)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = attach_ancilla([c0 * v[0], c1 * v[1]])
-        u = matched_unitary(c0, c1, k)
-        p = evolve_and_measure(state, u)[0]
-        fail_weight = qlinalg.norm2((u @ state)[2:]) / qlinalg.norm2(state)
-        assert p + fail_weight == pytest.approx(1.0, abs=1e-12)
-
-
-def test_evolve_and_measure_rejects_zero_state():
-    with pytest.raises(ValueError, match="zero norm"):
-        evolve_and_measure([0, 0, 0, 0], np.eye(4))
-
-
 def test_success_weight_does_not_depend_on_the_order_of_the_heralded_amplitudes():
-    # swapping the two ancilla-|0> rows keeps u unitary and only reorders
-    # the success amplitudes, as the filters of outcomes 3 and 4 do
-    for _ in range(200):
-        c0, c1 = random_angle_pair()
-        u = matched_unitary(c0, c1, rng.uniform(0.1, 1.0) * k_bound(c0, c1))
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = attach_ancilla(v)
-        swapped = u[[1, 0, 2, 3]]
-        assert evolve_and_measure(state, swapped)[0] == evolve_and_measure(state, u)[0]
+    # the filters of outcomes 3 and 4 reorder the two success amplitudes
+    z = rng.normal(size=(2, 10000)) + 1j * rng.normal(size=(2, 10000))
+    assert np.array_equal(protocol._success_weight(z), protocol._success_weight(z[::-1]))
 
 
 def test_dilation_of_a_random_contraction_is_unitary():
@@ -282,19 +224,6 @@ def test_dilation_of_a_random_contraction_is_unitary():
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m *= rng.uniform(0.2, 1.0) / np.linalg.norm(m, 2)
         assert qlinalg.is_unitary(protocol._dilation(m), tol=1e-12)
-
-
-def test_pauli_correction_goldens():
-    assert np.array_equal(pauli_correction(1), np.eye(2))
-    assert np.array_equal(pauli_correction(2), np.diag([1, -1]).astype(complex))
-    assert np.array_equal(pauli_correction(3), np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.array_equal(pauli_correction(4), np.array([[0, 1], [-1, 0]], dtype=complex))
-    with pytest.raises(ValueError, match="1..4"):
-        pauli_correction(0)
-    with pytest.raises(ValueError, match="1..4, got 7$"):
-        pauli_correction(np.int64(7))  # the number, not np.int64(7)
-    with pytest.raises(ValueError, match="1..4, got 7$"):
-        optimal_k(TwoQubitChannel.diagonal(0.8, 0.6), standard_bell(), np.int64(7))
 
 
 # ------------------------------------------------- branch coefficients
@@ -1083,6 +1012,13 @@ def test_total_never_exceeds_twice_the_smaller_schmidt_coefficient_squared(case)
     assert total <= 2.0 * lam_min**2 + 1e-12
     if basis.kind == "bell" and mode == "max-per-outcome":
         assert total == pytest.approx(2.0 * lam_min**2, abs=1e-12)
+    if mode == "max-per-outcome":
+        # K_lam |det tau_lam| = s_min(tau_lam): the total is pref^2 sum_lam s_min(tau_lam)^2
+        pts = points(x[None], basis, mode)
+        s_min = np.linalg.svd(pts.tau[0], compute_uv=False)[:, 1]
+        expected = basis.pref2 * np.sum(s_min**2)
+        for kernel in (analytic_batch, simulate_batch):
+            assert kernel(inp, pts).total[0] == pytest.approx(expected, rel=1e-12)
 
 
 @given(general_cases(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -1110,14 +1046,15 @@ def test_kernel_dilation_is_the_full_dilation_on_an_ancilla_in_zero(case):
     pts = points(x[None], basis, mode, k)
     p_bob = simulate_batch(inp, pts).p_bob[0]
     state = np.kron(inp.vector(), x.ravel())
-    filters = protocol._filters(pts.tau, pts.k)[0]
+    filters = protocol._filters_transposed(pts.tau, pts.k).T[0]
     for lam0 in range(4):
         u = protocol._dilation(filters[lam0])
         assert np.max(np.abs(u[:, :2].conj().T @ u[:, :2] - np.eye(2))) <= 1e-13
         receiver = project(state, basis, lam0 + 1)[1]
-        p, success, _ = evolve_and_measure(attach_ancilla(receiver), u)
-        assert abs(p - p_bob[lam0]) <= 1e-12
-        assert abs(abs(np.vdot(inp.vector(), success)) ** 2 - 1.0) <= 1e-12
+        out = u @ np.concatenate([receiver, [0, 0]])
+        succ_w = np.vdot(out[:2], out[:2]).real
+        assert abs(succ_w / np.vdot(receiver, receiver).real - p_bob[lam0]) <= 1e-12
+        assert abs(abs(np.vdot(inp.vector(), out[:2])) ** 2 / succ_w - 1.0) <= 1e-12
 
 
 def test_gbm_max_per_outcome_total_closed_form_example():
@@ -1140,9 +1077,13 @@ def test_gbm_max_per_outcome_total_without_ordering_assumptions(t, t_p, phase_a,
     a, b = math.cos(t) * cmath.exp(1j * phase_a), math.sin(t) * cmath.exp(1j * phase_b)
     ap, bp = math.cos(t_p), math.sin(t_p)
     expected = 2.0 * (min(abs(a * ap), abs(b * bp)) ** 2 + min(abs(a * bp), abs(b * ap)) ** 2)
+    # the one-line form: a plateau at 2 lambda_min^2 while b' lies between |b| and |a|
+    one_line = 2.0 * min(abs(a), abs(b), ap, bp) ** 2
     for kernel in (analytic_batch, simulate_batch):
         pts = points(diag_stack([a], [b]), generalized_bell(ap, bp), "max-per-outcome")
-        assert kernel(PureInputState(H, H), pts).total[0] == pytest.approx(expected, abs=1e-12)
+        total = kernel(PureInputState(H, H), pts).total[0]
+        assert total == pytest.approx(expected, abs=1e-12)
+        assert total == pytest.approx(one_line, abs=1e-12)
 
 
 def test_maximally_entangled_channels_are_perfect_and_run_at_total_one():
@@ -1158,8 +1099,6 @@ def test_maximally_entangled_channels_are_perfect_and_run_at_total_one():
 # ------------------------------------------------------- outcome labels
 
 LAM_CALLERS = {
-    "pauli_correction": pauli_correction,
-    "basis.state": standard_bell().state,
     "project": lambda lam: project(np.full(8, 0.5**1.5), standard_bell(), lam),
     "optimal_k": lambda lam: optimal_k(TwoQubitChannel.diagonal(0.8, 0.6), standard_bell(), lam),
 }
