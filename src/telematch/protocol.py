@@ -188,7 +188,9 @@ class Points(NamedTuple):
 
     x holds the (N, 2, 2) channel amplitudes x[n, j, k] = x_jk; tau the
     (N, 4, 2, 2) outcome operators of each point; k the (N, 4) K each
-    outcome runs at.
+    outcome runs at. x and tau are float64 for a real stack on a real
+    basis, bit for bit equal to the complex128 arrays of the same stack
+    taken as complex, and complex128 otherwise.
     """
 
     basis: TwoQubitBasis
@@ -209,8 +211,10 @@ class Batch(NamedTuple):
 
 
 def _diagonal(c0, c1) -> np.ndarray:
-    """diag(c0, c1) over arrays of pairs: shape (..., 2, 2)."""
-    d = np.zeros(np.broadcast_shapes(np.shape(c0), np.shape(c1)) + (2, 2), dtype=np.complex128)
+    """diag(c0, c1) over arrays of pairs: shape (..., 2, 2), float64 for real
+    coefficients and complex128 when either is complex."""
+    dtype = np.complex128 if np.iscomplexobj(c0) or np.iscomplexobj(c1) else np.float64
+    d = np.zeros(np.broadcast_shapes(np.shape(c0), np.shape(c1)) + (2, 2), dtype=dtype)
     d[..., 0, 0] = c0
     d[..., 1, 1] = c1
     return d
@@ -323,14 +327,19 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
 
     x is an (N, 2, 2) stack of amplitudes x[n, j, k] = x_jk, j the
     sender's qubit; 'fixed' takes k as one number or one per point, and
-    another shape of either raises ValueError. The first failing point
+    another shape of either raises ValueError. A real stack (float, int
+    or bool) is kept in float64, and on a real basis (Bell or gbm) so are
+    its tau, K bounds and filters until the input state enters a kernel:
+    bit for bit the numbers of the same stack with zero imaginary parts.
+    A complex stack stays complex128, as before. The first failing point
     raises what a single report on it would: ValueError for amplitudes
     that are not a normalized state, KOutOfRangeError for a K that is not
     finite and positive, UnteleportableChannelError for a concurrence
     2|x00 x11 - x01 x10| <= 1e-9, DegenerateBasisError for a degenerate
     basis, and KOutOfRangeError for a K above some outcome's bound.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x)
+    x = x.astype(np.float64 if x.dtype.kind in "biuf" else np.complex128, copy=False)
     if x.ndim != 3 or x.shape[1:] != (2, 2):
         raise ValueError(f"channel amplitudes must be an (N, 2, 2) stack, got shape {x.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
@@ -371,8 +380,13 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
     # arithmetic may overflow or produce nan; only the first failure counts.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         # tau[n, lam, k, i] = sum_j G_lam[j, i] x[n, j, k] by one 2-D product; tau
-        # is Fortran-ordered, so each entry tau[..., k, i] is one (N, 4) block
-        tau = (basis.blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
+        # is Fortran-ordered, so each entry tau[..., k, i] is one (N, 4) block.
+        # Real blocks for a real stack: each entry is one product c x, which
+        # complex arithmetic with zero imaginary parts rounds alike.
+        blocks = basis.blocks
+        if x.dtype.kind == "f" and basis.real_blocks is not None:
+            blocks = basis.real_blocks
+        tau = (blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
         bounds = _k_bounds(tau)
         # the concurrence 2|x00 x11 - x01 x10|, at most NORMALIZATION_TOL
         det = x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]
@@ -433,7 +447,8 @@ def _report_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k) -> P
 
 
 def b_axis_channels(b) -> np.ndarray:
-    """Amplitude stack of the channels sqrt(1 - b^2)|00> + b|11>."""
+    """Amplitude stack of the channels sqrt(1 - b^2)|00> + b|11>, in float64:
+    every channel of the b axis is real, and `points` keeps it so."""
     b = np.asarray(b, dtype=float)
     with np.errstate(over="ignore"):  # |b| above 1e154 gives a = 0, refused by `points`
         return _diagonal(np.sqrt(np.fmax(0.0, 1.0 - b * b)), b)
@@ -525,6 +540,13 @@ def simulate_report(
     return _report(simulate_batch(inp, _report_points(ch, basis, policy.mode, policy.k)))
 
 
+def _count(value, name: str) -> int:
+    """operator.index(value), refusing a bool as _check_lam does: True is no count."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got the bool {bool(value)!r}")
+    return operator.index(value)
+
+
 def monte_carlo(
     inp: PureInputState,
     ch: TwoQubitChannel,
@@ -541,8 +563,8 @@ def monte_carlo(
     always reproduces its counts.
     std_err is the binomial standard error of p_hat.
     """
-    trials = operator.index(trials)
-    seed = operator.index(seed)
+    trials = _count(trials, "trials")
+    seed = _count(seed, "seed")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     if seed < 0:
@@ -571,7 +593,7 @@ B_LO = 1e-6
 
 def fig1_grid(steps: int) -> np.ndarray:
     """The b grid of fig1: `steps` points from B_LO to 1/sqrt(2)."""
-    steps = operator.index(steps)
+    steps = _count(steps, "steps")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     return np.linspace(B_LO, 1.0 / math.sqrt(2.0), steps)

@@ -146,7 +146,8 @@ def test_the_basis_cache_is_bounded():
 def test_shared_basis_arrays_are_read_only(basis_factory):
     basis = basis_factory()
     assert np.array_equal(basis.t_conj, basis.t_matrix.conj())
-    for name in ("t_matrix", "t_conj", "blocks"):
+    assert np.array_equal(basis.real_blocks, basis.blocks)
+    for name in ("t_matrix", "t_conj", "blocks", "real_blocks"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(basis, name)[0, 0] = 2.0
 

@@ -24,6 +24,7 @@ from telematch.channel import (
 from telematch.measurement import (
     DegenerateBasisError,
     InvalidBasisError,
+    TwoQubitBasis,
     branch_operators,
     generalized_bell,
     parse_basis,
@@ -620,6 +621,13 @@ def test_monte_carlo_validates_arguments():
         monte_carlo(inp, ch, standard_bell(), KPolicy.fixed(1.0), 0, 1)
     with pytest.raises(TypeError):
         monte_carlo(inp, ch, standard_bell(), KPolicy.fixed(1.0), 10.5, 1)
+    # a bool is no count, though operator.index takes True for 1
+    for trials, seed, message in ((True, 1, "trials must be an integer, got the bool True"),
+                                  (np.True_, 1, "trials must be an integer, got the bool True"),
+                                  (10, False, "seed must be an integer, got the bool False"),
+                                  (10, np.False_, "seed must be an integer, got the bool False")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            monte_carlo(inp, ch, standard_bell(), KPolicy.fixed(1.0), trials, seed)
     mc = monte_carlo(inp, ch, standard_bell(), KPolicy.fixed(1.0), 1, 1)
     assert mc.p_hat in (0.0, 1.0)
 
@@ -742,6 +750,10 @@ def test_fig1_grid_endpoints_and_shape():
 def test_fig1_rejects_tiny_grids():
     with pytest.raises(ValueError, match="steps"):
         fig1_data(1)
+    # formerly "steps must be >= 2, got 1" for True
+    for steps in (True, np.True_, False):
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got the bool {bool(steps)}$"):
+            fig1_grid(steps)
 
 
 def test_fig1_rows_match_protocol_reports():
@@ -949,6 +961,106 @@ def test_k_bound_is_the_diagonal_case_of_the_general_bound():
     c0 = rng.normal(size=3000) + 1j * rng.normal(size=3000)
     c1 = rng.normal(size=3000) + 1j * rng.normal(size=3000)
     assert np.array_equal(k_bound(c0, c1), 1.0 / np.maximum(np.abs(c0), np.abs(c1)))
+
+
+# ------------------------------------------------------------ real stacks
+
+# Smallest |b| the b axis accepts: the concurrence 2|ab| must exceed 1e-9.
+B_EDGE = 5.1e-10
+
+
+def _real_orthogonal(gen):
+    """A random 2x2 rotation or reflection."""
+    t = gen.uniform(0.0, 2.0 * math.pi)
+    r = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return r if gen.random() < 0.5 else r * [1.0, -1.0]
+
+
+@st.composite
+def real_batches(draw):
+    """Real amplitude stacks on Bell or on gbm with signed coefficients, under
+    every K policy: b-axis grids of either sign down to |b| = B_EDGE (with
+    their b), real diagonal channels a|00> + b|11> of any signs, and real
+    general channels R diag(cos t, sin t) S^T, R and S orthogonal."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(("b-axis", "diagonal", "general")))
+    b = None
+    if kind == "b-axis":
+        # log-uniform |b| between B_EDGE and 1 - 1e-6, led by a few edge values
+        b = np.where(gen.random(n) < 0.5, -1.0, 1.0) * np.minimum(B_EDGE ** gen.random(n), 1 - 1e-6)
+        edges = draw(st.lists(st.sampled_from([B_EDGE, -B_EDGE, 1 - 1e-6, -(1 - 1e-6), H]),
+                              max_size=min(n, 3)))
+        b[:len(edges)] = edges
+        x = b_axis_channels(b)
+    elif kind == "diagonal":
+        t = gen.uniform(0.05, math.pi / 2 - 0.05, n) + gen.integers(0, 4, n) * (math.pi / 2)
+        x = np.zeros((n, 2, 2))
+        x[:, 0, 0], x[:, 1, 1] = np.cos(t), np.sin(t)
+    else:
+        t = gen.uniform(0.05, math.pi / 4, n)
+        x = np.stack([_real_orthogonal(gen) @ np.diag([math.cos(ti), math.sin(ti)])
+                      @ _real_orthogonal(gen).T for ti in t])
+    if draw(st.booleans()):
+        basis = standard_bell()
+    else:
+        theta = draw(angle) + draw(st.integers(min_value=0, max_value=3)) * (math.pi / 2)
+        basis = generalized_bell(math.cos(theta), math.sin(theta))
+    mode = draw(st.sampled_from(K_POLICY_MODES))
+    k = None
+    if mode == "fixed":
+        bounds = points(x, basis, "max-global").k[:, 0]
+        if draw(st.booleans()):
+            k = gen.uniform(0.05, 1.0, n) * bounds  # one K per point
+        else:
+            k = draw(st.floats(0.05, 1.0)) * float(bounds.min())
+    theta = draw(angle)
+    inp = PureInputState(
+        math.cos(theta) * cmath.exp(1j * draw(phase)),
+        math.sin(theta) * cmath.exp(1j * draw(phase)),
+    )
+    return inp, x, b, basis, mode, k
+
+
+@given(real_batches())
+@settings(max_examples=60)
+def test_real_stacks_give_the_numbers_of_the_same_stacks_taken_as_complex(case):
+    # complex arithmetic on zero imaginary parts reduces to the real one, so the
+    # float64 path must reproduce the complex128 path exactly, not approximately
+    inp, x, b, basis, mode, k = case
+    real, twin = points(x, basis, mode, k), points(x.astype(complex), basis, mode, k)
+    # neither path may silently fall back to the other
+    assert real.x.dtype == real.tau.dtype == np.float64
+    assert twin.x.dtype == twin.tau.dtype == np.complex128
+    assert np.array_equal(real.k, twin.k)
+    assert np.array_equal(real.tau, twin.tau)
+    for kernel in (analytic_batch, simulate_batch):
+        for field, got, want in zip(protocol.Batch._fields, kernel(inp, real), kernel(inp, twin)):
+            assert np.array_equal(got, want), (kernel.__name__, field)
+    if b is not None:
+        pts = points(b_axis_channels(b).astype(complex), standard_bell(), "max-per-outcome")
+        p_k1 = protocol._p_joint(pts, 1.0).sum(axis=-1)
+        want = (b, protocol._p_joint(pts, pts.k).sum(axis=-1), p_k1, 2.0 * p_k1)
+        for got, column in zip(fig1_columns(b), want):
+            assert np.array_equal(got, column)
+
+
+def test_real_stacks_stay_real_only_on_a_real_basis():
+    assert protocol._diagonal(0.8, 0.6).dtype == b_axis_channels([0.6]).dtype == np.float64
+    assert protocol._diagonal(0.8, 0.6j).dtype == np.complex128
+    assert standard_bell().real_blocks.dtype == generalized_bell(-0.6, 0.8).real_blocks.dtype == np.float64
+    # the Bell rows times phases: a complex basis, on which a real stack takes the complex product
+    t = standard_bell().t_matrix * np.exp(1j * np.array([0.3, 1.1, -0.7, 2.0]))[:, None]
+    basis = TwoQubitBasis("bell", None, None, t)
+    assert basis.real_blocks is None
+    x = b_axis_channels([0.6, 0.3])
+    real, twin = points(x, basis, "max-per-outcome"), points(x.astype(complex), basis, "max-per-outcome")
+    assert real.x.dtype == np.float64 and real.tau.dtype == np.complex128
+    assert np.array_equal(real.tau, twin.tau) and np.array_equal(real.k, twin.k)
+    # int and bool stacks are real too: refused here as their float64 twins are
+    for stack in (np.eye(2, dtype=int)[None], np.eye(2, dtype=bool)[None]):
+        with pytest.raises(ValueError, match="sum of squared moduli is 2.0"):
+            points(stack, standard_bell(), "max-global")
 
 
 # ---------------------------------------------------- general pure channels
