@@ -4,23 +4,29 @@
 Python's formatter only the few values numpy cannot decide:
 
 - Digits. With e = floor(log10 |x|), corrected by one where it misses,
-  s = |x| 10^(14-e) lies in [1e14, 1e15) and is computed in long double
-  (64-bit mantissa on x86-64). The 15 significant digits are s rounded
-  to an integer, carried to the next exponent at 10^15.
-- Fallback. s carries a relative error of about one long double eps (the
-  power of ten and one product). Where frac(s) lies within 8 eps * 1e15
-  of 0.5, which takes in the exact ties that round half to even, the
-  rounding is not decided, and the value goes to `%.15g`. So do zeros,
-  nan, +-inf and |x| outside [1e-290, 1e290). Where long double is
-  plain double (MSVC, macOS on arm64) that band exceeds 0.5, and every
-  block takes the scalar path: the bytes are the same on every
-  platform, only the speed differs.
+  s = |x| 10^(14-e) lies in [1e14, 1e15). It is found in float64 by
+  error-free transformations (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
+  26, 1955, 2005): 10^(14-e) is a double-double hi + lo from a table
+  exact to 2^-105, and |x| hi is its rounded product plus the exact error
+  of that product (Dekker's product of two Veltkamp splits). With w the
+  floor of the rounded product, the rest s - w lies in (-0.5, 1.5) and
+  is known to within 2e-16. The 15 significant digits are w plus s - w
+  rounded to an integer, carried to the next exponent at 10^15.
+- Fallback. Where s - w lies within 2^-50 of 0.5, which takes in the
+  exact ties that round half to even, the rounding is not decided, and
+  the value goes to `%.15g`. So do zeros, nan, +-inf and |x| outside
+  [1e-290, 1e290). No long double is used, so the vector path runs on
+  every platform.
 - Layout. C's `%g` with precision 15: fixed notation for exponents from
   -4 to 14, else d.ddde+XX with at least two exponent digits, trailing
-  zeros and a trailing point stripped. Each number's text is built in
-  three little-endian 64-bit words (24 bytes, NUL-padded), where the
-  digits are placed by per-row shifts and masks from small tables, and
-  the NULs are dropped at the end.
+  zeros and a trailing point stripped. Each number's text is built in a
+  row of three little-endian 64-bit words (24 bytes), where NUL stands
+  for no character: the sign at byte 0, the mantissa from byte 1, the
+  exponent at bytes 17 to 21 and the separator at byte 23. The digits
+  come from a table of 4-digit groups whose trailing zeros are NUL, so
+  a number's trailing zeros need no count; the point, and the digits
+  before and after it, are placed by per-exponent masks and shifts.
+  The NULs are dropped at the end.
 """
 
 from __future__ import annotations
@@ -28,77 +34,129 @@ from __future__ import annotations
 import numpy as np
 
 _U = np.uint64
-_LD = np.longdouble
 
-# |frac(s) - 0.5| below this leaves the rounding of s to the fallback.
-_BAND = 8 * float(np.finfo(_LD).eps) * 1e15
 # Blocks with fewer values are formatted by Python at once: there the
 # fixed cost of the vector path's numpy calls is more than it saves
-# (x86-64, random values: 75 values 131 against 66 us, 300 values 249
-# against 244 us, 750 values 332 against 499 us).
-VECTOR_MIN = 300 if _BAND < 0.5 else np.inf
-# Magnitudes the vector path takes; 10^(14-e) stays finite even in double.
+# (x86-64, random values: 75 values 150 against 60 us, 300 values 159
+# against 219 us, 750 values 251 against 626 us).
+VECTOR_MIN = 300
+# Magnitudes the vector path takes; every power of ten in the table, and
+# every product |x| 10^(14-e) and its splits, stays a normal double.
 _LO, _HI = 1e-290, 1e290
+_BELOW_HI = np.nextafter(_HI, 0.0)
+# |frac(s) - 0.5| below this leaves the rounding of s to the fallback; the
+# error of frac(s) is below 2e-16.
+_BAND = 2.0**-50
 
-# 10^p for p from _P10_LO: every 14 - e with e in [-291, 290].
-_P10_LO = 14 - 290
-_P10 = np.power(_LD(10), np.arange(_P10_LO, 14 + 292).astype(_LD))
-
-_D = np.arange(48, 58, dtype=np.uint8)
-# The four ASCII digits of 0..9999, the most significant in the lowest byte.
-_DIG4 = np.stack(np.meshgrid(_D, _D, _D, _D, indexing="ij"), axis=-1).view(np.uint32).ravel().astype(_U)
-
-
-def _trailing_zeros() -> np.ndarray:
-    """The trailing decimal zeros of 0..9999, with 4 for 0."""
-    q = np.arange(10000)
-    return np.select([q == 0, q % 1000 == 0, q % 100 == 0, q % 10 == 0], [4, 3, 2, 1], 0).astype(np.int8)
+# The exponents e the vector path may meet: floor(log10 |x|) for |x| in
+# [_LO, _HI), corrected by one. Row e - _E_LO of a per-exponent table
+# belongs to e.
+_E_LO, _E_HI = -291, 290
 
 
-_TZ4 = _trailing_zeros()
-
-_DOT, _ZERO, _MINUS, _E, _PLUS = (ord(c) for c in ".0-e+")
-
-
-def _words(byte_rows) -> np.ndarray:
-    """(K, 8w) bytes -> (w, K) words, word j holding bytes 8j to 8j + 7."""
-    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view(_U).T.copy()
+def _split(a):
+    """Veltkamp's split a = hi + lo, each half with at most 26 significant
+    bits, so that the product of two halves is exact (|a| < 1e300)."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-# _LOW[:, c]: the three words with bytes 0 to c - 1 set.
-_LOW = _words(np.where(np.arange(24) < np.arange(25)[:, None], 255, 0))
+def _powers_of_ten() -> np.ndarray:
+    """Per exponent e, 10^(14-e) as hi + lo, within 2^-105 of it, in the
+    columns hi, lo and the two halves of hi. Python converts an int to the
+    nearest double: for 10^p, hi is the double nearest the int 10^p and lo
+    the double nearest the rest; for 10^-p, the same is done for the
+    120-bit int floor(2^k / 10^p), and both are scaled by 2^-k."""
+    ints, scales = [], []
+    n = 1
+    for p in range(1, _E_HI - 13):  # 10^-p
+        n *= 10
+        k = n.bit_length() + 119
+        ints.append((1 << k) // n)
+        scales.append(-k)
+    ints.reverse()
+    scales.reverse()
+    n = 1
+    for p in range(15 - _E_LO):  # 10^p
+        ints.append(n)
+        n *= 10
+    scales += [0] * (15 - _E_LO)
+    hi = [float(n) for n in ints]
+    lo = [float(n - int(h)) for n, h in zip(ints, hi)]
+    # in the order of e, from 10^(14 - _E_LO) down
+    scales = np.array(scales[::-1])
+    hi, lo = np.ldexp(hi[::-1], scales), np.ldexp(lo[::-1], scales)
+    # split the mantissa: 10^305 times 2^27 would overflow
+    frac, exp = np.frexp(hi)
+    return np.column_stack([hi, lo, *(np.ldexp(half, exp) for half in _split(frac))])
 
 
-def _layouts():
-    """Per layout key kind * 15 + nd - 1, nd the number of significant
-    digits (1-15) and kind e + 4 for fixed notation (e from -4 to 14) or
-    19 for scientific: the two-word masks of the digits before the point
-    and the bytes that go with them ("." after them, or the "0.00" that
-    precedes the digits of an exponent below 0), the byte shift of the
-    digits after the point, and the text length before the exponent."""
-    kind, nd = (g.reshape(-1, 1) for g in np.meshgrid(np.arange(20), np.arange(1, 16), indexing="ij"))
-    col = np.arange(16)
-    sci = kind == 19
-    e = kind - 4
-    small = (e < 0) & ~sci  # 0.000ddd
-    lead = 1 - e  # length of "0.000" before the digits
-    k = np.where(sci, 1, np.where(small, 0, e + 1))  # digits before the point
-    head_mask = np.where(col < k, 255, 0)
-    head = np.where(small, np.where(col == 1, _DOT, np.where(col < lead, _ZERO, 0)),
-                    np.where(col == k, _DOT, 0))
-    shift = np.where(small, lead, 1)
-    length = np.where(small, lead + nd, np.where(nd > k, nd + 1, k))
-    return (_words(head_mask), _words(head),
-            (shift.ravel() * 8).astype(_U), length.ravel().astype(_U))
+_P10 = _powers_of_ten()
 
 
-(_HEAD_MASK0, _HEAD_MASK1), (_HEAD0, _HEAD1), _TAIL_SHIFT, _LENGTH = _layouts()
+def _four_digits():
+    """The four ASCII digits of 0..9999, the most significant in the lowest
+    byte, followed by the same with trailing zeros as NUL (all NUL for 0)."""
+    a = np.arange(10, dtype=_U)
+
+    def word(byte):
+        """byte[i] | byte[j] << 8 | byte[k] << 16 | byte[l] << 24 at 1000 i + 100 j + 10 k + l."""
+        return (byte[:, None, None, None] | byte[:, None, None] << _U(8) | byte[:, None] << _U(16)
+                | byte << _U(24)).ravel()
+
+    digits = word(a + _U(ord("0")))
+    # the bytes of the nonzero digits, and every byte below one
+    keep = word(np.minimum(a, _U(1)) * _U(255))
+    keep |= keep >> _U(8)
+    keep |= keep >> _U(16)
+    return np.concatenate([digits, digits & keep])
 
 
-def _shl(x0, x1, bits):
-    """Two words shifted left by bits (0 to 63) per row, as three words."""
-    back = _U(64) - bits  # numpy gives 0 for a shift by 64
-    return x0 << bits, (x1 << bits) | (x0 >> back), x1 >> back
+_DIG4 = _four_digits()
+_DIG4_STRIPPED = _DIG4[10000:]
+
+_DOT, _ZERO, _MINUS = (ord(c) for c in ".0-")
+
+
+def _layouts() -> np.ndarray:
+    """Per exponent e, the words that place a number's digits, in columns:
+    two of the mask of the digits before the point, two of its complement,
+    the bit shift of the digits after the point, two of what goes before
+    those digits (the point, or the "0.00" that precedes the digits of an
+    exponent below 0), and the word of the exponent at bytes 17 to 21."""
+    n = _E_HI + 1 - _E_LO
+    head = np.zeros((n, 16), np.uint8)
+    shift = np.full(n, 16, _U)
+    fill = np.zeros((n, 16), np.uint8)
+    exp = np.zeros((n, 24), np.uint8)
+    # scientific: d.ddd, then "e+dd" or "e-ddd"
+    head[:, 0] = 255
+    fill[:, 2] = _DOT
+    exponent = np.arange(_E_LO, _E_HI + 1)
+    a = np.abs(exponent)
+    wide = a >= 100
+    exp[:, 17] = ord("e")
+    exp[:, 18] = np.where(exponent < 0, _MINUS, ord("+"))
+    exp[:, 19:21] = np.where(wide, [a // 100, a // 10 % 10], [a // 10, a % 10]).T + _ZERO
+    exp[wide, 21] = a[wide] % 10 + _ZERO
+    for e in range(-4, 15):  # fixed notation
+        r = e - _E_LO
+        head[r] = fill[r] = exp[r] = 0
+        if e < 0:  # "0.", the zeros, the digits
+            fill[r, 1:2 - e] = _ZERO
+            fill[r, 2] = _DOT
+            shift[r] = 8 * (2 - e)
+        else:  # e + 1 digits before the point
+            head[r, :e + 1] = 255
+            if e < 14:
+                fill[r, e + 2] = _DOT
+    head = head.view(_U)
+    return np.column_stack([head, ~head, shift, fill.view(_U), exp.view(_U)[:, 2]])
+
+
+_LAYOUT = _layouts()
+_ZEROS = _U(0x3030303030303030)
 
 
 def rows_text(columns) -> str:
@@ -115,95 +173,93 @@ def _scalar_rows(table: np.ndarray) -> str:
 def _vector_rows(table: np.ndarray) -> str:
     """The CSV text of a (rows, columns) float64 table."""
     x = table.ravel()
-    m, e, fallback = _digits(x)
-    words, end = _layout(m, e, np.signbit(x))
+    m, row, fallback = _digits(x)
+    words = _layout(m, row, x)
     if fallback.any():
         r = fallback.nonzero()[0]
         parts = _scalar_rows(x[r, None]).encode("ascii").split(b"\n")[:-1]
         words[r] = np.array(parts, dtype="S24").view(_U).reshape(-1, 3)
-        end[r] = np.fromiter(map(len, parts), np.intp, len(parts))
-    sep = np.full(table.shape, ord(","), np.uint8)
-    sep[:, -1] = ord("\n")
-    words.view(np.uint8)[np.arange(x.size), end] = sep.ravel()
+    sep = np.full(table.shape[1], ord(","), _U)
+    sep[-1] = ord("\n")
+    words.reshape(*table.shape, 3)[..., 2] |= sep << _U(56)
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _scaled(a: np.ndarray, row: np.ndarray):
+    """For s = a 10^(14-e): w, the floor of the rounded product, and s - w
+    to within 2e-16."""
+    hi, lo, hi1, hi2 = _P10.take(row, axis=0).T
+    a1, a2 = _split(a)
+    s = a * hi
+    err = ((a1 * hi1 - s) + a1 * hi2 + a2 * hi1) + a2 * hi2  # a hi - s, exactly
+    w = np.floor(s)
+    return w, (s - w) + (err + a * lo)
+
+
 def _digits(x: np.ndarray):
-    """The 15 significant digits m and the exponent e of |x| = m 10^(e-14),
-    and where they may be wrong, so that x takes the fallback."""
+    """The 15 significant digits m and the table row of the exponent e of
+    |x| = m 10^(e-14), and where they may be wrong, so that x takes the
+    fallback."""
     a = np.abs(x)
-    ok = (a >= _LO) & (a < _HI)
-    a[~ok] = 1.0  # a placeholder: these values fall back
-    e = np.floor(np.log10(a)).astype(np.intp)
-    al = a.astype(_LD)
-    s = al * _P10[14 - _P10_LO - e]
-    m = s.astype(np.int64)
-    off = (m < 10**14) | (m >= 10**15)  # log10 rounded across a power of ten
-    if off.any():
-        i = off.nonzero()[0]
-        e[i] += np.where(m[i] < 10**14, -1, 1)
-        s[i] = al[i] * _P10[14 - _P10_LO - e[i]]
-        m[i] = s[i].astype(np.int64)
-    frac = np.subtract(s, m, out=s)
-    fallback = ~ok | ((frac > 0.5 - _BAND) & (frac < 0.5 + _BAND))
-    m += frac > 0.5
-    carry = m == 10**15
-    if carry.any():
+    # values out of range (nan too) become a placeholder and fall back
+    b = np.fmin(np.fmax(a, _LO), _BELOW_HI)
+    ok = b == a
+    row = (np.floor(np.log10(b)) - _E_LO).astype(np.intp)
+    w, rest = _scaled(b, row)
+    if w.min() < 1e14 or w.max() >= 1e15:  # log10 rounded across a power of ten
+        i = ((w < 1e14) | (w >= 1e15)).nonzero()[0]
+        row[i] += np.where(w[i] < 1e14, -1, 1)
+        w[i], rest[i] = _scaled(b[i], row[i])
+        # a rounded product at a power of ten may still miss; carried or not, leave it
+        ok[i] &= (w[i] >= 1e14) & (w[i] < 1e15)
+    ok &= np.abs(rest - 0.5) >= _BAND
+    # rest lies in (-0.5, 1.5): it rounds to the carry into the last digit
+    m = (w + np.rint(rest)).astype(np.int64)
+    if m.max() == 10**15:
+        carry = m == 10**15
         m[carry] = 10**14
-        e += carry
-    return m, e, fallback
+        row += carry
+    return m, row, ~ok
 
 
 def _digit_words(m: np.ndarray):
-    """The 15 ASCII digits of m in two words, the first digit in the
-    lowest byte, and the number of trailing zeros."""
-    hi, lo = np.divmod(m, 10**8)
-    g0, g1 = np.divmod(hi, 10**4)  # g0 has three digits
-    g2, g3 = np.divmod(lo, 10**4)
-    d2 = _DIG4[g2]
-    d0 = (_DIG4[g0] >> _U(8)) | (_DIG4[g1] << _U(24)) | (d2 << _U(56))
-    d1 = (d2 >> _U(8)) | (_DIG4[g3] << _U(24))
-    zeros = _TZ4[g3]
-    more = g3 == 0
-    for g in (g2, g1, g0):
-        if not more.any():
-            break
-        zeros[more] += _TZ4[g[more]]
-        more &= g == 0
-    return d0, d1, zeros
+    """The 15 ASCII digits of m in two words, the first digit in the lowest
+    byte and trailing zeros as NUL."""
+    hi = m // 10**8
+    lo = m - hi * 10**8
+    g0 = hi // 10**4  # three digits
+    g1 = hi - g0 * 10**4
+    g2 = lo // 10**4
+    g3 = lo - g2 * 10**4
+    d3 = _DIG4_STRIPPED.take(g3)
+    if not g3.all():
+        # a group strips its zeros too where every group after it is 0
+        strip = g3 == 0
+        for g in (g2, g1, g0):
+            zero = g == 0
+            g[strip] += 10000
+            strip &= zero
+    d2 = _DIG4.take(g2)
+    d0 = (_DIG4.take(g0) >> _U(8)) | (_DIG4.take(g1) << _U(24)) | (d2 << _U(56))
+    d1 = (d2 >> _U(8)) | (d3 << _U(24))
+    return d0, d1
 
 
-def _layout(m: np.ndarray, e: np.ndarray, negative: np.ndarray):
-    """Each number's text without its separator, NUL-padded in a row of
-    three words, and the length of that text."""
-    d0, d1, zeros = _digit_words(m)
-    # mantissa: a sign, the digits before the point with what goes with
-    # them, the rest of the digits shifted past the point
-    sci = (e < -4) | (e >= 15)
-    key = np.where(sci, 19, e + 4) * 15 + 14 - zeros
-    neg = negative.astype(_U)
-    sign_bits = neg << _U(3)
-    h0 = d0 & _HEAD_MASK0[key]
-    h1 = d1 & _HEAD_MASK1[key]
-    head = _shl(h0 | _HEAD0[key], h1 | _HEAD1[key], sign_bits)
-    tail = _shl(d0 ^ h0, d1 ^ h1, _TAIL_SHIFT[key] + sign_bits)
-    end = _LENGTH[key] + neg
+def _layout(m: np.ndarray, row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each number's text, NUL-padded, in a row of three words, byte 23
+    left NUL for the separator."""
+    d0, d1 = _digit_words(m)
+    head0, head1, tail0, tail1, shift, fill0, fill1, exp = _LAYOUT.take(row, axis=0).T
+    # the digits before the point, their zeros kept, one byte past the sign
+    h0 = (d0 | _ZEROS) & head0
+    h1 = (d1 | _ZEROS) & head1
+    # the digits after the point, and the point only where one of them is left
+    t0 = d0 & tail0
+    t1 = d1 & tail1
+    point = np.minimum(t0 | t1, _U(1))
+    back = _U(64) - shift
     words = np.empty((m.size, 3), _U)
-    for w in range(3):
-        np.bitwise_and(head[w] | tail[w], _LOW[w][end], out=words[:, w])
-    words[:, 0] |= neg * _U(_MINUS)
-    end = end.astype(np.intp)
-
-    if sci.any():
-        # "e+dd" or "e-ddd"
-        r = sci.nonzero()[0]
-        exp = e[r]
-        wide = np.abs(exp) >= 100
-        suffix = np.empty((r.size, 5), np.uint8)
-        suffix[:, 0] = _E
-        suffix[:, 1] = np.where(exp < 0, _MINUS, _PLUS)
-        suffix[:, 2:] = _DIG4[np.abs(exp)].astype(np.uint32).view(np.uint8).reshape(-1, 4)[:, 1:]
-        suffix[~wide, 2:4] = suffix[~wide, 3:5]  # the fifth byte goes under the separator
-        words.view(np.uint8)[r[:, None], end[r, None] + np.arange(5)] = suffix
-        end[r] += np.where(wide, 5, 4)
-    return words, end
+    words[:, 0] = (h0 << _U(8)) | (t0 << shift) | (fill0 * point) | ((x.view(_U) >> _U(63)) * _U(_MINUS))
+    words[:, 1] = (h1 << _U(8)) | (h0 >> _U(56)) | (t1 << shift) | (t0 >> back) | (fill1 * point)
+    words[:, 2] = (t1 >> back) | exp
+    return words

@@ -127,7 +127,7 @@ class KPolicy:
         return cls.fixed(k)
 
 
-# The two report types below write their fields straight into __dict__: the
+# The three report types below write their fields straight into __dict__: the
 # generated __init__ of a frozen dataclass calls object.__setattr__ once per
 # field, which took most of the time of building a report. Their eq, hash, repr
 # and frozenness stay the generated ones, and replace calls this __init__.
@@ -165,7 +165,7 @@ class ProtocolReport:
         fields["total"] = total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonteCarloReport:
     trials: int
     seed: int
@@ -174,6 +174,17 @@ class MonteCarloReport:
     p_hat: float
     std_err: float
     sampler: str = "multinomial-binomial"
+
+    def __init__(self, trials, seed, outcome_counts, success_counts, p_hat, std_err,
+                 sampler="multinomial-binomial"):
+        fields = self.__dict__
+        fields["trials"] = trials
+        fields["seed"] = seed
+        fields["outcome_counts"] = outcome_counts
+        fields["success_counts"] = success_counts
+        fields["p_hat"] = p_hat
+        fields["std_err"] = std_err
+        fields["sampler"] = sampler
 
 
 class Fig1Row(NamedTuple):
@@ -225,13 +236,16 @@ def _k_bounds(tau: np.ndarray) -> np.ndarray:
 
     s_max^2 is the larger eigenvalue of tau tau^dag = [[p, r], [r*, q]],
     max(p, q) + (sqrt(h^2 + |r|^2) - h) with h = |p - q| / 2: exactly
-    max(p, q) when r = 0. inf for 0; the caller sets np.errstate.
+    max(p, q) when r = 0, as on every diagonal channel on Bell or gbm, where
+    the correction is not computed. inf for 0; the caller sets np.errstate.
     """
     m = np.abs(tau)
     m *= m
     p = m[..., 0, 0] + m[..., 0, 1]
     q = m[..., 1, 0] + m[..., 1, 1]
     r = np.abs(tau[..., 0, 0] * tau[..., 1, 0].conj() + tau[..., 0, 1] * tau[..., 1, 1].conj())
+    if not np.count_nonzero(r):
+        return 1.0 / np.sqrt(np.maximum(p, q))
     h = 0.5 * np.abs(p - q)
     return 1.0 / np.sqrt(np.maximum(p, q) + (np.sqrt(h * h + r * r) - h))
 
@@ -477,9 +491,13 @@ def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
 
 def _p_joint(pts: Points, k) -> np.ndarray:
     """pref^2 (K |det tau|)^2: the chance that each outcome occurs and heralds success."""
-    tau = pts.tau
-    m = k * np.abs(tau[..., 0, 0] * tau[..., 1, 1] - tau[..., 0, 1] * tau[..., 1, 0])
+    m = k * _abs_det(pts.tau)
     return pts.basis.pref2 * (m * m)
+
+
+def _abs_det(tau: np.ndarray) -> np.ndarray:
+    """|det tau| over the last two axes."""
+    return np.abs(tau[..., 0, 0] * tau[..., 1, 1] - tau[..., 0, 1] * tau[..., 1, 0])
 
 
 def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
@@ -609,11 +627,16 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     b = np.asarray(b, dtype=float)
     pts = points(b_axis_channels(b), standard_bell(), "max-per-outcome")
-    # The totals of analytic_batch, which p_alice does not enter. |a| and
-    # |b| are at most 1 at every valid point of the b axis, so each
-    # Bell-basis bound 1/max(|a|, |b|) is at least 1: K=1 is valid.
-    p_opt = _p_joint(pts, pts.k).sum(axis=-1)
-    p_k1 = _p_joint(pts, 1.0).sum(axis=-1)
+    # The totals of analytic_batch, which p_alice does not enter, with
+    # |det tau| taken once for both: _p_joint at K = 1 multiplies it by 1.0,
+    # which changes no bit. |a| and |b| are at most 1 at every valid point
+    # of the b axis, so each Bell-basis bound 1/max(|a|, |b|) is at least 1:
+    # K=1 is valid.
+    det = _abs_det(pts.tau)
+    m = pts.k * det
+    pref2 = pts.basis.pref2
+    p_opt = (pref2 * (m * m)).sum(axis=-1)
+    p_k1 = (pref2 * (det * det)).sum(axis=-1)
     return b, p_opt, p_k1, 2.0 * p_k1
 
 

@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 import telematch.csvtext
 from telematch.cli import main
-from telematch.csvtext import _P10, _P10_LO, VECTOR_MIN, _vector_rows, rows_text
+from telematch.csvtext import _E_LO, _P10, VECTOR_MIN, _digits, _vector_rows, rows_text
+from telematch.protocol import fig1_columns, fig1_grid
 
 
 def _reference_rows(columns) -> str:
@@ -79,15 +80,35 @@ def test_vector_text_equals_the_reference_on_grid_like_values():
     _assert_same_text(np.column_stack([b, 2 * b * b, b * b * (1 - b * b)]), 3)
 
 
-def test_power_table_is_within_one_eps():
-    # the fallback band assumes s = |x| 10^(14-e) within a few eps
-    eps = Fraction(float(np.finfo(np.longdouble).eps))
-    for p, v in enumerate(_P10, _P10_LO):
-        exact = Fraction(10) ** p
-        assert abs(Fraction(*v.as_integer_ratio()) - exact) <= eps * exact, p
+# The widest texts the vector path writes: scientific, fixed below 1e-3 and
+# fixed with 14 digits before the point, each with a sign.
+WIDEST = [-1.23456789012345e-290, -0.000123456789012345, -12345678901234.5]
 
 
-@pytest.mark.skipif(not np.isfinite(VECTOR_MIN), reason="long double is plain double here")
+def test_widest_texts_take_the_vector_path_in_every_column():
+    # each value in the first, middle and last column of a row
+    table = np.array([np.roll(WIDEST, k) for k in range(3)])
+    assert not _digits(table.ravel())[2].any()
+    _assert_same_text(table, 3)
+    assert _vector_rows(table).splitlines()[0] == "-1.23456789012345e-290,-0.000123456789012345,-12345678901234.5"
+
+
+def test_fig1_values_never_fall_back():
+    assert not _digits(np.column_stack(fig1_columns(fig1_grid(20000))).ravel())[2].any()
+
+
+def test_power_table_is_exact_to_2_pow_104():
+    # the fallback band assumes frac(|x| 10^(14-e)) within 2e-16, and
+    # Dekker's product needs halves of at most 26 bits
+    for e, (hi, lo, hi1, hi2) in enumerate(_P10, _E_LO):
+        exact = Fraction(10) ** (14 - e)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**104, e
+        assert hi1 + hi2 == hi, e
+        for half in (hi1, hi2):
+            n = abs(half.as_integer_ratio()[0])
+            assert n == 0 or (n // (n & -n)).bit_length() <= 26, e
+
+
 def test_blocks_below_the_vector_minimum_take_the_scalar_path(monkeypatch):
     monkeypatch.setattr(telematch.csvtext, "_vector_rows", None)
     columns = list(np.random.default_rng(6).random((3, (VECTOR_MIN - 1) // 3)))

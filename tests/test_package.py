@@ -27,3 +27,19 @@ def test_importing_the_cli_builds_nothing_a_command_needs():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.split() == ["False", "0", "0", "0"]
+
+
+def test_importing_the_csv_writer_loads_nothing_beyond_numpy_and_telematch():
+    # its tables are built with numpy and Python ints: fractions or decimal
+    # would add their own import to the first sweep or fig1 of a process
+    code = (
+        "import sys, numpy, telematch\n"
+        "before = set(sys.modules)\n"
+        "import telematch.csvtext\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split() == ["telematch.csvtext"]

@@ -963,6 +963,46 @@ def test_k_bound_is_the_diagonal_case_of_the_general_bound():
     assert np.array_equal(k_bound(c0, c1), 1.0 / np.maximum(np.abs(c0), np.abs(c1)))
 
 
+def _k_bounds_unconditional(tau):
+    """_k_bounds with the off-diagonal correction always computed."""
+    m = np.abs(tau) ** 2
+    p = m[..., 0, 0] + m[..., 0, 1]
+    q = m[..., 1, 0] + m[..., 1, 1]
+    r = np.abs(tau[..., 0, 0] * tau[..., 1, 0].conj() + tau[..., 0, 1] * tau[..., 1, 1].conj())
+    h = 0.5 * np.abs(p - q)
+    return 1.0 / np.sqrt(np.maximum(p, q) + (np.sqrt(h * h + r * r) - h))
+
+
+@st.composite
+def tau_stacks(draw):
+    """(N, 4, 2, 2) real or complex operator stacks: every operator diagonal
+    or anti-diagonal (r = 0, as on diagonal channels on Bell or gbm), every
+    operator general, or a mix with at least one general operator."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(("diagonal", "general", "mixed")))
+    shape = (n, 4, 2, 2)
+    tau = gen.normal(size=shape) * 10.0 ** gen.uniform(-3, 3, shape)
+    if draw(st.booleans()):
+        tau = tau + 1j * gen.normal(size=shape)
+    if kind != "general":
+        keep = np.eye(2, dtype=bool)
+        orthogonal = np.where(gen.random((n, 4, 1, 1)) < 0.5, keep, ~keep) * tau
+        general = np.zeros((n, 4, 1, 1), dtype=bool)
+        if kind == "mixed":
+            general.flat[gen.integers(0, 4 * n, gen.integers(1, 4 * n + 1))] = True
+        tau = np.where(general, tau, orthogonal)
+    return tau
+
+
+@given(tau_stacks())
+@settings(max_examples=150)
+def test_k_bounds_equal_the_unconditional_formula(tau):
+    # the correction is skipped only where r = 0 at every operator, where it is
+    # sqrt(h^2) - h = 0 exactly
+    assert np.array_equal(protocol._k_bounds(tau), _k_bounds_unconditional(tau))
+
+
 # ------------------------------------------------------------ real stacks
 
 # Smallest |b| the b axis accepts: the concurrence 2|ab| must exceed 1e-9.
