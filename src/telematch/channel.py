@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qlinalg
-
 SQRT2 = float(np.sqrt(2.0))
 NORMALIZATION_TOL = 1e-9
 
@@ -117,7 +115,7 @@ def classify(ch: TwoQubitChannel, tol: float = NORMALIZATION_TOL) -> ChannelClas
     probabilistic.
     """
     x = cpm(ch)
-    if qlinalg.is_unitary(x, tol):
+    if np.max(np.abs(x @ x.conj().T - np.eye(2))) <= tol:
         return ChannelClass.PERFECT
     if abs(np.linalg.det(x)) <= tol:
         return ChannelClass.UNTELEPORTABLE

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qlinalg
 from .channel import SQRT2, parse_complex
 
 BASIS_KINDS = ("bell", "gbm")
@@ -177,9 +176,11 @@ def _generalized_bell(a_p: float, b_p: float, *signs: float) -> TwoQubitBasis:
 
 def branch_operators(x_cpm, basis: TwoQubitBasis) -> tuple[np.ndarray, ...]:
     """Per-outcome 2x2 operators sigma_lam = X @ B_lam (see module doc)."""
-    x = qlinalg.as_matrix(x_cpm)
+    x = np.asarray(x_cpm, dtype=np.complex128)
     if x.shape != (2, 2):
         raise ValueError(f"channel parameter matrix must be 2x2, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("channel parameter matrix entries must be finite")
     # sigma_lam = X @ B_lam = 2 * pref * tau_lam for A = X.T / sqrt(2)
     ops = math.sqrt(2.0 * basis.pref2) * (basis.blocks @ x.T.reshape(4))
     return tuple(ops.reshape(2, 2, 4).T)
@@ -211,9 +212,11 @@ def project(total, basis: TwoQubitBasis, lam: int) -> tuple[float, np.ndarray]:
     is the probability.
     """
     _check_lam(lam)
-    v = qlinalg.as_vector(total)
-    if v.shape[0] != 8:
-        raise ValueError(f"total state must have length 8, got {v.shape[0]}")
+    v = np.asarray(total, dtype=np.complex128)
+    if v.shape != (8,):
+        raise ValueError(f"total state must be a vector of length 8, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("total state entries must be finite")
     probs, receivers = project_all(v.reshape(4, 2, 1), basis)
     return probs[lam - 1, 0], receivers[lam - 1, :, 0]
 

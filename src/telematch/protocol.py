@@ -16,7 +16,8 @@ basis: `analytic_batch` evaluates the closed forms, `simulate_batch`
 evolves the three-qubit state vector: it projects every point by one
 2-D product and applies only the block M_lam of each dilation, the
 part that maps ancilla |0> to |0> and the only one any reported number
-reads (`matched_unitary` alone builds the whole dilation). `points`
+reads (`matched_unitary` alone builds the whole dilation, in closed
+form for a diagonal pair). `points`
 validates a batch and resolves K once; the report functions,
 `monte_carlo` and `fig1_data` call the kernels, a single report being
 the N=1 case. The scalar functions read their point through a small
@@ -265,51 +266,6 @@ def _filters_transposed(tau: np.ndarray, k) -> np.ndarray:
     return tau.T[::-1, ::-1].swapaxes(0, 1) * (signs * k.T)
 
 
-def _sqrt_complement(gd: np.ndarray, g01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and upper corner of sqrt(I - G), G = [[g00, g01], [g01*, g11]],
-    0 <= G <= I, from gd = (g00, g11) over the last axis and g01.
-
-    For 2x2 A >= 0, sqrt(A) = (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)),
-    0 where A = 0; det and trace are clamped at 0 against the rounding
-    that leaves A slightly indefinite when ||G|| = 1.
-    """
-    ad = 1.0 - gd
-    a, d = ad[..., 0], ad[..., 1]
-    b = np.abs(g01)
-    s = np.sqrt(np.maximum(a * d - b * b, 0.0))
-    t2 = np.maximum(a + d + (s + s), 0.0)
-    f = np.sqrt(t2) / (t2 + _TINY)  # 1 / sqrt(t2), and 0 where t2 = 0
-    return (ad + s[..., None]) * f[..., None], -g01 * f
-
-
-def _dilation(m: np.ndarray) -> np.ndarray:
-    """[[M, sqrt(I - M M^dag)], [sqrt(I - M^dag M), -M^dag]] for contractions m (..., 2, 2).
-
-    Unitary to about 1e-16 for diagonal m, the only kind `matched_unitary`
-    passes, but only to about 1e-16 / sqrt(tr A + 2 sqrt(det A)), A = I - G,
-    for a non-diagonal contraction near norm 1: the two square roots come from
-    separately rounded Gram matrices G (|U U^dag - I| up to 3.3e-8 for general
-    channels at the Bell basis's max-global K). The columns that meet the
-    ancilla in |0> stay an isometry to about 1e-15; a caller that needs the
-    whole unitary of a general contraction must not count on more.
-    """
-    u = np.zeros(m.shape[:-2] + (4, 4), dtype=np.complex128)
-    flat = u.reshape(m.shape[:-2] + (16,))  # u[..., r, c] is flat[..., 4r + c]
-    u[..., :2, :2] = m
-    u[..., 2:, 2:] = -m.conj().swapaxes(-1, -2)
-    w = np.abs(m)
-    w *= w
-    c = m.conj()
-    # M^dag M has the column norms of M on its diagonal, M M^dag the row norms
-    g = c[..., 0, 0] * m[..., 0, 1] + c[..., 1, 0] * m[..., 1, 1]
-    diag, off = _sqrt_complement(w[..., 0, :] + w[..., 1, :], g)
-    flat[..., 8::5], flat[..., 9], flat[..., 12] = diag, off, off.conj()
-    g = m[..., 0, 0] * c[..., 1, 0] + m[..., 0, 1] * c[..., 1, 1]
-    diag, off = _sqrt_complement(w[..., 0] + w[..., 1], g)
-    flat[..., 2:8:5], flat[..., 3], flat[..., 6] = diag, off, off.conj()
-    return u
-
-
 def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     """Ancilla-assisted unitary matched to a coefficient pair.
 
@@ -317,7 +273,10 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     significant and the ancilla starting in |0>. On the success branch
     it rescales both receiver amplitudes to K*c0*c1; the leftover
     weight moves to the ancilla |1> branch. Requires
-    0 < k <= min(1/|c0|, 1/|c1|): the dilation of K * adj(diag(c0, c1)).
+    0 < k <= min(1/|c0|, 1/|c1|). It is the dilation of the diagonal
+    M = K * adj(diag(c0, c1)) = K * diag(c1, c0), in closed form
+    [[M, S], [S, -M^dag]]: S = diag(sqrt(1 - K^2 |c1|^2), sqrt(1 - K^2 |c0|^2)),
+    clamped at 0, is both sqrt(I - M M^dag) and sqrt(I - M^dag M).
     """
     k = float(k)
     bound = float(k_bound(c0, c1))
@@ -325,7 +284,10 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
         raise KOutOfRangeError(
             f"K={k!r} outside (0, {bound!r}] for coefficients ({complex(c0)!r}, {complex(c1)!r})"
         )
-    return _dilation(_filters_transposed(_diagonal(c0, c1), np.float64(k)).T)
+    d = k * np.array([c1, c0], dtype=np.complex128)  # M = K adj(diag(c0, c1)) = diag(d)
+    s = np.diag(np.sqrt(np.maximum(0.0, 1.0 - (d * d.conj()).real)))  # sqrt(I - M M^dag)
+    m = np.diag(d)
+    return np.block([[m, s], [s, -m.conj()]])
 
 
 def _success_weight(amplitudes: np.ndarray):

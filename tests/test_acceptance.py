@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from telematch import qlinalg
 from telematch.channel import PureInputState, TwoQubitChannel
 from telematch.measurement import generalized_bell, standard_bell
 from telematch.protocol import (
@@ -32,6 +31,10 @@ def _crit(num, ok, desc, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {num:2d} [{status}] {desc}")
     assert ok, f"criterion {num} failed: {desc} {detail}"
+
+
+def _unitarity_error(u):
+    return np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
 
 
 def _angle_pair(rng, lo=0.05, hi=math.pi / 2 - 0.05):
@@ -261,7 +264,7 @@ def test_criterion_10_k_bound_enforcement():
         except KOutOfRangeError:
             pass
         u = matched_unitary(c0, c1, bound)
-        if not qlinalg.is_unitary(u, tol=1e-9):
+        if _unitarity_error(u) > 1e-9:
             ok = False
             detail = f"not unitary at the bound for ({c0!r}, {c1!r})"
             break

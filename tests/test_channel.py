@@ -105,6 +105,8 @@ def test_cpm_swap_channel_is_pauli_x():
         (SQRT_HALF, 0, 0, -SQRT_HALF),
         (0, SQRT_HALF, SQRT_HALF, 0),
         (0, SQRT_HALF, -SQRT_HALF, 0),
+        # X X^dag - I is 4e-10, inside the default tolerance of 1e-9
+        (SQRT_HALF * (1 + 2e-10), 0, 0, SQRT_HALF * (1 + 2e-10)),
     ],
 )
 def test_classify_maximally_entangled_channels_as_perfect(entries):
@@ -113,6 +115,9 @@ def test_classify_maximally_entangled_channels_as_perfect(entries):
 
 def test_classify_partially_entangled_as_probabilistic():
     assert classify(TwoQubitChannel.diagonal(0.8, 0.6)) is ChannelClass.PROBABILISTIC
+    # X X^dag - I is diag(2e-9, -2e-9), just outside the default tolerance of 1e-9
+    near = TwoQubitChannel.diagonal(math.sqrt(0.5 + 1e-9), math.sqrt(0.5 - 1e-9))
+    assert classify(near) is ChannelClass.PROBABILISTIC
 
 
 @pytest.mark.parametrize(

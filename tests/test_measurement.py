@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telematch import measurement
 from telematch.channel import TwoQubitChannel, cpm
@@ -182,6 +184,10 @@ def test_branch_operators_are_twice_pref_times_the_kernels_outcome_operators():
 def test_branch_operators_reject_wrong_shape():
     with pytest.raises(ValueError, match="2x2"):
         branch_operators(np.eye(4), standard_bell())
+    with pytest.raises(ValueError, match="2x2"):
+        branch_operators(np.zeros((2, 3)), standard_bell())
+    with pytest.raises(ValueError, match="finite"):
+        branch_operators([[np.nan, 0], [0, 1]], standard_bell())
 
 
 @pytest.mark.parametrize("basis_factory", [standard_bell, lambda: generalized_bell(0.6, 0.8)])
@@ -240,8 +246,14 @@ def test_project_generalized_branch_amplitudes():
 
 
 def test_project_validates_inputs():
-    with pytest.raises(ValueError, match="length 8"):
-        project(np.array([1, 0, 0, 0]), standard_bell(), 1)
+    for bad in ([1, 0, 0, 0], [1, 0, 0], [], random_state(8).reshape(2, 4)):
+        with pytest.raises(ValueError, match="length 8"):
+            project(np.array(bad), standard_bell(), 1)
+    for entry in (np.nan, np.inf * 1j):
+        bad = random_state(8)
+        bad[3] = entry
+        with pytest.raises(ValueError, match="finite"):
+            project(bad, standard_bell(), 1)
     with pytest.raises(ValueError, match="1..4"):
         project(random_state(8), standard_bell(), 0)
 
@@ -261,3 +273,53 @@ def test_parse_basis_generalized():
 def test_parse_basis_rejects_bad_literals(bad):
     with pytest.raises(InvalidBasisError):
         parse_basis(bad)
+
+
+# The suite builds product states with np.kron; these pin the layout that
+# project expects of them: the left factor is most significant.
+
+
+def test_tensor_basis_states():
+    e0 = np.array([1, 0], dtype=complex)
+    e1 = np.array([0, 1], dtype=complex)
+    out = np.kron(e0, e1)
+    assert out.shape == (4,)
+    assert np.array_equal(out, np.array([0, 1, 0, 0], dtype=complex))
+
+
+def test_tensor_left_operand_is_most_significant():
+    u = random_state(2)
+    v = random_state(4)
+    out = np.kron(u, v)
+    for i in range(2):
+        for j in range(4):
+            assert abs(out[i * 4 + j] - u[i] * v[j]) <= 1e-15
+
+
+def test_tensor_matches_explicit_three_qubit_indexing():
+    # total[4i + 2j + k] must be input[i] * channel[2j + k]
+    inp = random_state(2)
+    ch = random_state(4)
+    total = np.kron(inp, ch)
+    expected = np.empty(8, dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                expected[4 * i + 2 * j + k] = inp[i] * ch[2 * j + k]
+    assert np.allclose(total, expected, atol=1e-15, rtol=0)
+
+
+vec2 = st.lists(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    min_size=2,
+    max_size=2,
+).map(lambda xs: np.array(xs, dtype=complex))
+
+
+@given(vec2, vec2)
+@settings(max_examples=50)
+def test_tensor_norm_is_multiplicative(u, v):
+    uv = np.kron(u, v)
+    lhs = np.vdot(uv, uv).real
+    rhs = np.vdot(u, u).real * np.vdot(v, v).real
+    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)

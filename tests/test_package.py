@@ -43,3 +43,27 @@ def test_importing_the_csv_writer_loads_nothing_beyond_numpy_and_telematch():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.split() == ["telematch.csvtext"]
+
+
+def test_a_failing_hypothesis_test_is_reported_under_the_suite_warning_filters(tmp_path):
+    # hypothesis imports libcst to write its failure patch, and libcst warns
+    # DeprecationWarning on import; under the suite's filters that warning must
+    # not stop the run with INTERNALERROR before the failure and the next test
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
