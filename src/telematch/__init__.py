@@ -25,15 +25,12 @@ from .measurement import (
     DegenerateBasisError,
     InvalidBasisError,
     TwoQubitBasis,
-    branch_operators,
     generalized_bell,
     parse_basis,
-    project,
     standard_bell,
 )
 from .protocol import (
     Batch,
-    Fig1Row,
     KOutOfRangeError,
     KPolicy,
     MonteCarloReport,
@@ -43,11 +40,9 @@ from .protocol import (
     analytic_batch,
     analytic_report,
     channel_points,
-    fig1_data,
     k_bound,
     matched_unitary,
     monte_carlo,
-    optimal_k,
     points,
     simulate_batch,
     simulate_report,
@@ -59,7 +54,6 @@ __all__ = [
     "Batch",
     "ChannelClass",
     "DegenerateBasisError",
-    "Fig1Row",
     "InvalidBasisError",
     "KOutOfRangeError",
     "KPolicy",
@@ -74,23 +68,19 @@ __all__ = [
     "__version__",
     "analytic_batch",
     "analytic_report",
-    "branch_operators",
     "channel_points",
     "classify",
     "concurrence",
     "cpm",
-    "fig1_data",
     "format_complex",
     "generalized_bell",
     "k_bound",
     "matched_unitary",
     "monte_carlo",
-    "optimal_k",
     "parse_basis",
     "parse_channel",
     "parse_complex",
     "points",
-    "project",
     "simulate_batch",
     "simulate_report",
     "standard_bell",

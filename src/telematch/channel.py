@@ -100,24 +100,30 @@ def cpm(ch: TwoQubitChannel) -> np.ndarray:
     )
 
 
+def _concurrences(x: np.ndarray) -> np.ndarray:
+    """2|x00 x11 - x01 x10| over an (N, 2, 2) stack x[n, j, k] = x_jk: shared by
+    `concurrence`, `classify` and `protocol.points`, so that they agree bit for bit."""
+    return 2.0 * np.abs(x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
+
+
 def concurrence(ch: TwoQubitChannel) -> float:
     """Entanglement of the channel: 2|x00*x11 - x01*x10|."""
-    return float(abs(np.linalg.det(cpm(ch))))
+    return float(_concurrences(ch.vector().reshape(1, 2, 2))[0])
 
 
-def classify(ch: TwoQubitChannel, tol: float = NORMALIZATION_TOL) -> ChannelClass:
+def classify(ch: TwoQubitChannel) -> ChannelClass:
     """Sort a channel by what its parameter matrix supports.
 
-    Unitary X (within tol) means deterministic teleportation; this is
-    checked first, so a maximally entangled channel is Perfect even
-    though it is also trivially invertible. Singular X (|det X| <= tol)
-    supports no teleportation at all. Everything between is
-    probabilistic.
+    Unitary X (within NORMALIZATION_TOL) means deterministic teleportation;
+    this is checked first, so a maximally entangled channel is Perfect even
+    though it is also trivially invertible. Singular X (concurrence |det X|
+    <= NORMALIZATION_TOL, as `protocol.points` refuses) supports no
+    teleportation at all. Everything between is probabilistic.
     """
     x = cpm(ch)
-    if np.max(np.abs(x @ x.conj().T - np.eye(2))) <= tol:
+    if np.max(np.abs(x @ x.conj().T - np.eye(2))) <= NORMALIZATION_TOL:
         return ChannelClass.PERFECT
-    if abs(np.linalg.det(x)) <= tol:
+    if concurrence(ch) <= NORMALIZATION_TOL:
         return ChannelClass.UNTELEPORTABLE
     return ChannelClass.PROBABILISTIC
 
@@ -133,16 +139,16 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"bad number literal: {text!r}") from None
 
 
-def format_complex(z: complex, digits: int = 15) -> str:
-    """Render a scalar with up to `digits` significant digits.
+def format_complex(z: complex) -> str:
+    """Render a scalar with up to 15 significant digits.
 
     Real values print without an imaginary part; complex values print as
     're+imi' so the output can be parsed back by parse_complex.
     """
-    re = format(z.real, f".{digits}g")
+    re = format(z.real, ".15g")
     if z.imag == 0:
         return re
-    im = format(z.imag, f".{digits}g")
+    im = format(z.imag, ".15g")
     sign = "+" if not im.startswith("-") else ""
     return f"{re}{sign}{im}i"
 

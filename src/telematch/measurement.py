@@ -11,7 +11,7 @@ receiver qubit: if X is the channel parameter matrix, then
     sigma_lam = X @ B_lam,   B_lam[j, i] = sqrt(2) * conj(T[lam-1, 2*i + j]),
 
 and the receiver's unnormalized post-measurement state is
-(1/2) * sigma_lam @ (alpha, beta). The projection route in `project`
+(1/2) * sigma_lam @ (alpha, beta). The projection route in `project_all`
 computes the same state directly from the three-qubit product state;
 the two must agree, which the test suite checks. The protocol reads
 tau_lam = sigma_lam / (2 * pref), pref = 1/sqrt(2) for Bell and 1 for
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,19 +98,6 @@ class TwoQubitBasis:
         object.__setattr__(self, "real_blocks", real_blocks)
 
 
-def _check_lam(lam: int) -> None:
-    """Refuse any outcome label but an integer 1..4: a bool or a whole float
-    such as 2.0 labels no outcome."""
-    try:
-        ok = not isinstance(lam, bool) and 1 <= operator.index(lam) <= 4
-    except TypeError:
-        ok = False
-    if not ok:
-        if isinstance(lam, np.generic):
-            lam = lam.item()  # 7, not np.int64(7)
-        raise ValueError(f"outcome label must be 1..4, got {lam!r}")
-
-
 @functools.cache
 def standard_bell() -> TwoQubitBasis:
     """The four Bell states, rows ordered (phi+, phi-, psi+, psi-).
@@ -174,23 +160,12 @@ def _generalized_bell(a_p: float, b_p: float, *signs: float) -> TwoQubitBasis:
     return TwoQubitBasis("gbm", a_p, b_p, t)
 
 
-def branch_operators(x_cpm, basis: TwoQubitBasis) -> tuple[np.ndarray, ...]:
-    """Per-outcome 2x2 operators sigma_lam = X @ B_lam (see module doc)."""
-    x = np.asarray(x_cpm, dtype=np.complex128)
-    if x.shape != (2, 2):
-        raise ValueError(f"channel parameter matrix must be 2x2, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("channel parameter matrix entries must be finite")
-    # sigma_lam = X @ B_lam = 2 * pref * tau_lam for A = X.T / sqrt(2)
-    ops = math.sqrt(2.0 * basis.pref2) * (basis.blocks @ x.T.reshape(4))
-    return tuple(ops.reshape(2, 2, 4).T)
-
-
 def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, np.ndarray]:
     """Project a batch of N three-qubit states onto every basis outcome.
 
     states[m, q3, n] is the amplitude of point n on |m>|q3>, m = 2 q1 + q2
-    the measured pair (see `project`), shape (4, 2, N). One 2-D product
+    the measured pair (q1 the input qubit, q2 the sender's channel qubit, q3
+    the receiver qubit), shape (4, 2, N). One 2-D product
     conj(T) @ states gives the unnormalized receiver states over (outcome,
     q3, point), shape (4, 2, N); their squared norms, shape (4, N), are the
     outcome probabilities. Inputs are not validated.
@@ -200,25 +175,6 @@ def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, n
     sq = sq * sq
     sq = sq[..., 0::2] + sq[..., 1::2]
     return sq[:, 0] + sq[:, 1], receivers
-
-
-def project(total, basis: TwoQubitBasis, lam: int) -> tuple[float, np.ndarray]:
-    """Project a three-qubit state onto outcome lam of the basis.
-
-    `total` is an 8-vector over |q1 q2 q3> with q1 the input qubit,
-    q2 the sender-side channel qubit, q3 the receiver qubit; the
-    measured pair is (q1, q2). Returns (probability, receiver state),
-    with the receiver state left unnormalized so that its squared norm
-    is the probability.
-    """
-    _check_lam(lam)
-    v = np.asarray(total, dtype=np.complex128)
-    if v.shape != (8,):
-        raise ValueError(f"total state must be a vector of length 8, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("total state entries must be finite")
-    probs, receivers = project_all(v.reshape(4, 2, 1), basis)
-    return probs[lam - 1, 0], receivers[lam - 1, :, 0]
 
 
 def parse_basis(text: str) -> TwoQubitBasis:

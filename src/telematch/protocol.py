@@ -17,12 +17,11 @@ evolves the three-qubit state vector: it projects every point by one
 2-D product and applies only the block M_lam of each dilation, the
 part that maps ancilla |0> to |0> and the only one any reported number
 reads (`matched_unitary` alone builds the whole dilation, in closed
-form for a diagonal pair). `points`
-validates a batch and resolves K once; the report functions,
-`monte_carlo` and `fig1_data` call the kernels, a single report being
-the N=1 case. The scalar functions read their point through a small
-memo (`_report_points`), so an analytic and a simulated report on one
-point validate it once.
+form for a diagonal pair). `points` validates a batch and resolves K
+once; the report functions and `monte_carlo` call the kernels, a single
+report being the N=1 case. The scalar functions read their point
+through a small memo (`_report_points`), so an analytic and a simulated
+report on one point validate it once.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ from .channel import (
     PureInputState,
     TwoQubitChannel,
     UnteleportableChannelError,
+    _concurrences,
 )
 from .measurement import (
     DegenerateBasisError,
     TwoQubitBasis,
-    _check_lam,
     project_all,
     standard_bell,
 )
@@ -186,13 +185,6 @@ class MonteCarloReport:
         fields["p_hat"] = p_hat
         fields["std_err"] = std_err
         fields["sampler"] = sampler
-
-
-class Fig1Row(NamedTuple):
-    b: float
-    p_opt: float
-    p_k1: float
-    p_ksqrt2: float
 
 
 class Points(NamedTuple):
@@ -364,9 +356,7 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
             blocks = basis.real_blocks
         tau = (blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
         bounds = _k_bounds(tau)
-        # the concurrence 2|x00 x11 - x01 x10|, at most NORMALIZATION_TOL
-        det = x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]
-        unentangled = np.abs(det) <= 0.5 * NORMALIZATION_TOL
+        unentangled = _concurrences(x) <= NORMALIZATION_TOL
         fails = unentangled if unnormalized is None else unentangled | unnormalized
         if degenerate:
             fails = np.ones(n, dtype=bool)
@@ -494,12 +484,6 @@ def _report(batch: Batch) -> ProtocolReport:
     return ProtocolReport(outcomes, float(batch.total[0]))
 
 
-def optimal_k(ch: TwoQubitChannel, basis: TwoQubitBasis, lam: int) -> float:
-    """Largest K valid for outcome lam of this channel and basis."""
-    _check_lam(lam)
-    return float(_report_points(ch, basis, "max-per-outcome", None).k[0, lam - 1])
-
-
 def analytic_report(
     inp: PureInputState,
     ch: TwoQubitChannel,
@@ -521,7 +505,7 @@ def simulate_report(
 
 
 def _count(value, name: str) -> int:
-    """operator.index(value), refusing a bool as _check_lam does: True is no count."""
+    """operator.index(value), refusing a bool: True is no count."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be an integer, got the bool {bool(value)!r}")
     return operator.index(value)
@@ -600,9 +584,3 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     p_opt = (pref2 * (m * m)).sum(axis=-1)
     p_k1 = (pref2 * (det * det)).sum(axis=-1)
     return b, p_opt, p_k1, 2.0 * p_k1
-
-
-def fig1_data(steps: int) -> list[Fig1Row]:
-    """The rows of fig1_columns over fig1_grid(steps)."""
-    columns = fig1_columns(fig1_grid(steps))
-    return list(map(Fig1Row, *(column.tolist() for column in columns)))

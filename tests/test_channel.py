@@ -1,16 +1,19 @@
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telematch import channel as chn
 from telematch.channel import (
+    NORMALIZATION_TOL,
     ChannelClass,
     PureInputState,
     TwoQubitChannel,
+    UnteleportableChannelError,
     classify,
     concurrence,
     cpm,
@@ -18,6 +21,8 @@ from telematch.channel import (
     parse_channel,
     parse_complex,
 )
+from telematch.measurement import standard_bell
+from telematch.protocol import channel_points, points
 
 rng = np.random.default_rng(61803)
 
@@ -105,7 +110,7 @@ def test_cpm_swap_channel_is_pauli_x():
         (SQRT_HALF, 0, 0, -SQRT_HALF),
         (0, SQRT_HALF, SQRT_HALF, 0),
         (0, SQRT_HALF, -SQRT_HALF, 0),
-        # X X^dag - I is 4e-10, inside the default tolerance of 1e-9
+        # X X^dag - I is 4e-10, inside the tolerance of 1e-9
         (SQRT_HALF * (1 + 2e-10), 0, 0, SQRT_HALF * (1 + 2e-10)),
     ],
 )
@@ -115,7 +120,7 @@ def test_classify_maximally_entangled_channels_as_perfect(entries):
 
 def test_classify_partially_entangled_as_probabilistic():
     assert classify(TwoQubitChannel.diagonal(0.8, 0.6)) is ChannelClass.PROBABILISTIC
-    # X X^dag - I is diag(2e-9, -2e-9), just outside the default tolerance of 1e-9
+    # X X^dag - I is diag(2e-9, -2e-9), just outside the tolerance of 1e-9
     near = TwoQubitChannel.diagonal(math.sqrt(0.5 + 1e-9), math.sqrt(0.5 - 1e-9))
     assert classify(near) is ChannelClass.PROBABILISTIC
 
@@ -134,6 +139,20 @@ def test_classify_singular_as_unteleportable(entries):
 def test_classify_equal_coefficients_is_perfect_not_probabilistic():
     # unitarity is checked before invertibility
     assert classify(TwoQubitChannel.diagonal(SQRT_HALF, SQRT_HALF)) is ChannelClass.PERFECT
+
+
+def test_is_unitary_accepts_paulis():
+    # X[k, j] = sqrt(2) * x_jk: these channels have X = I, X, Z and Y
+    paulis = {
+        (SQRT_HALF, 0, 0, SQRT_HALF): np.eye(2),
+        (0, SQRT_HALF, SQRT_HALF, 0): [[0, 1], [1, 0]],
+        (SQRT_HALF, 0, 0, -SQRT_HALF): [[1, 0], [0, -1]],
+        (0, 1j * SQRT_HALF, -1j * SQRT_HALF, 0): [[0, -1j], [1j, 0]],
+    }
+    for entries, pauli in paulis.items():
+        ch = TwoQubitChannel(*entries)
+        assert np.allclose(cpm(ch), pauli, atol=1e-15)
+        assert classify(ch) is ChannelClass.PERFECT
 
 
 def test_concurrence_goldens():
@@ -235,3 +254,31 @@ def test_diagonal_channels_from_angles_always_classify(theta, phase):
     cls = classify(ch)
     assert cls in (ChannelClass.PERFECT, ChannelClass.PROBABILISTIC, ChannelClass.UNTELEPORTABLE)
     assert concurrence(ch) == pytest.approx(2 * abs(math.cos(theta) * math.sin(theta)), abs=1e-9)
+
+
+# b such that a|00> + b|11> has concurrence 2ab within relative 1e-12 of the
+# threshold NORMALIZATION_TOL (a rounds to 1)
+near_threshold = st.floats(min_value=0.5e-9 * (1.0 - 1e-12), max_value=0.5e-9 * (1.0 + 1e-12))
+local_phase = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+
+@given(near_threshold, local_phase, local_phase, local_phase, local_phase, local_phase)
+@example(4.999999999999991e-10, 0.0, 0.0, 0.0, 0.0, 0.0)  # 2b rounds to just below 1e-9
+@settings(max_examples=300)
+def test_classify_refuses_exactly_the_channels_points_refuses(b, p0, p1, q0, q1, theta):
+    # the channel under the local phases diag(e^{i p_j}) (x) diag(e^{i q_k}) and
+    # a rotation by theta on the sender's qubit, x[j, k] = x_jk
+    d = np.diag([math.sqrt(1.0 - b * b) * cmath.exp(1j * (p0 + q0)), b * cmath.exp(1j * (p1 + q1))])
+    rotation = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    x = rotation @ d
+    ch = TwoQubitChannel(*x.ravel())
+    unteleportable = classify(ch) is ChannelClass.UNTELEPORTABLE
+    assert unteleportable == (concurrence(ch) <= NORMALIZATION_TOL)
+    for resolve in (lambda: points(x[None], standard_bell(), "max-global"),
+                    lambda: channel_points(ch, standard_bell(), "max-global")):
+        try:
+            resolve()
+            refused = False
+        except UnteleportableChannelError:
+            refused = True
+        assert refused == unteleportable

@@ -109,6 +109,19 @@ def test_analyze_perfect_swap_channel(capsys):
     assert "class: Perfect" in out
 
 
+def test_analyze_and_run_agree_on_a_channel_at_the_entanglement_threshold(capsys):
+    # concurrence 2 * 4.999999999999991e-10 rounds to just below 1e-9: run
+    # refuses the channel, so analyze must not call it Probabilistic
+    channel = "diag:1,4.999999999999991e-10"
+    code, out, _ = run_capture(capsys, ["analyze", "--channel", channel, "--format", "csv"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0][4:] == ["Unteleportable", "9.99999999999998e-10"]
+    code, _, err = run_capture(capsys, ["run", "--channel", channel])
+    assert code == 2
+    assert "no entanglement" in err
+
+
 def test_analyze_bad_literal_exits_one(capsys):
     code, _, err = run_capture(capsys, ["analyze", "--channel", "diag:0.8"])
     assert code == 1

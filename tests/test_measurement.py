@@ -10,10 +10,9 @@ from telematch.channel import TwoQubitChannel, cpm
 from telematch.measurement import (
     InvalidBasisError,
     TwoQubitBasis,
-    branch_operators,
     generalized_bell,
     parse_basis,
-    project,
+    project_all,
     standard_bell,
 )
 from telematch.protocol import channel_points
@@ -154,86 +153,97 @@ def test_shared_basis_arrays_are_read_only(basis_factory):
             getattr(basis, name)[0, 0] = 2.0
 
 
+def reference_sigma(ch, basis):
+    """The branch operators sigma_lam = X @ B_lam of the module doc, built from
+    the basis matrix: B_lam[j, i] = sqrt(2) conj(T[lam-1, 2i + j])."""
+    t = basis.t_matrix
+    b = [[[math.sqrt(2.0) * t[lam0, 2 * i + j].conjugate() for i in range(2)] for j in range(2)]
+         for lam0 in range(4)]
+    return cpm(ch) @ np.array(b)
+
+
+def kernel_sigma(ch, basis):
+    """2 pref tau_lam, from the outcome operators the kernels run on."""
+    return 2.0 * math.sqrt(basis.pref2) * channel_points(ch, basis, "max-global").tau[0]
+
+
+def project_one(total, basis):
+    """project_all on one three-qubit vector over |q1 q2 q3>: the four outcome
+    probabilities and the (4, 2) unnormalized receiver states."""
+    probs, receivers = project_all(np.asarray(total, dtype=complex).reshape(4, 2, 1), basis)
+    return probs[:, 0], receivers[..., 0]
+
+
 def test_branch_operators_perfect_channel_are_paulis():
     # maximally entangled channel turns the four outcomes into exact
     # Pauli rotations of the input
     ch = TwoQubitChannel.diagonal(H, H)
-    ops = branch_operators(cpm(ch), standard_bell())
-    assert np.allclose(ops[0], np.eye(2), atol=1e-12)
-    assert np.allclose(ops[1], PAULI_Z, atol=1e-12)
-    assert np.allclose(ops[2], PAULI_X, atol=1e-12)
-    assert np.allclose(ops[3], PAULI_X @ PAULI_Z, atol=1e-12)
+    paulis = (np.eye(2), PAULI_Z, PAULI_X, PAULI_X @ PAULI_Z)
+    tau = channel_points(ch, standard_bell(), "max-global").tau[0]
+    for ops in (reference_sigma(ch, standard_bell()), kernel_sigma(ch, standard_bell())):
+        for op, pauli in zip(ops, paulis):
+            assert np.allclose(op, pauli, atol=1e-12)
+    for op, pauli in zip(tau, paulis):
+        assert np.array_equal(op, H * pauli)
 
 
 def test_branch_operators_diagonal_channel_golden():
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
-    ops = branch_operators(cpm(ch), standard_bell())
-    assert np.allclose(ops[0], math.sqrt(2.0) * np.diag([0.8, 0.6]), atol=1e-15)
+    for ops in (reference_sigma(ch, standard_bell()), kernel_sigma(ch, standard_bell())):
+        assert np.allclose(ops[0], math.sqrt(2.0) * np.diag([0.8, 0.6]), atol=1e-15)
 
 
 def test_branch_operators_are_twice_pref_times_the_kernels_outcome_operators():
-    # one product over the basis blocks gives sigma_lam; the kernels read
-    # tau_lam = sigma_lam / (2 pref) from the same blocks
-    for basis, pref in ((standard_bell(), H), (generalized_bell(0.6, 0.8), 1.0)):
-        ch = TwoQubitChannel(*random_state(4))
-        tau = channel_points(ch, basis, "max-global").tau[0]
-        ops = branch_operators(cpm(ch), basis)
-        assert np.allclose(np.stack(ops), 2.0 * pref * tau, atol=1e-14)
-
-
-def test_branch_operators_reject_wrong_shape():
-    with pytest.raises(ValueError, match="2x2"):
-        branch_operators(np.eye(4), standard_bell())
-    with pytest.raises(ValueError, match="2x2"):
-        branch_operators(np.zeros((2, 3)), standard_bell())
-    with pytest.raises(ValueError, match="finite"):
-        branch_operators([[np.nan, 0], [0, 1]], standard_bell())
+    # the kernels read tau_lam = sigma_lam / (2 pref); sigma_lam is built here
+    # from the basis matrix, not from the basis's blocks
+    for basis in (standard_bell(), generalized_bell(0.6, 0.8)):
+        for _ in range(10):
+            ch = TwoQubitChannel(*random_state(4))
+            assert np.allclose(kernel_sigma(ch, basis), reference_sigma(ch, basis), atol=1e-14)
 
 
 @pytest.mark.parametrize("basis_factory", [standard_bell, lambda: generalized_bell(0.6, 0.8)])
 def test_branch_operator_route_matches_projection(basis_factory):
-    # (1/2) sigma_lam @ (alpha, beta) must equal the receiver state from
-    # projecting the full three-qubit product state, for any channel
+    # pref tau_lam @ (alpha, beta) = (1/2) sigma_lam @ (alpha, beta) must equal
+    # the receiver state from projecting the full three-qubit product state,
+    # for any channel
     basis = basis_factory()
     for _ in range(25):
         inp = random_state(2)
-        ch_vec = random_state(4)
-        ch = TwoQubitChannel(*ch_vec)
-        total = np.kron(inp, ch_vec)
-        ops = branch_operators(cpm(ch), basis)
-        for lam in range(1, 5):
-            _, receiver = project(total, basis, lam)
-            direct = 0.5 * (ops[lam - 1] @ inp)
-            assert np.allclose(receiver, direct, atol=1e-12)
+        ch = TwoQubitChannel(*random_state(4))
+        _, receivers = project_one(np.kron(inp, ch.vector()), basis)
+        for lam0 in range(4):
+            # the projection written out: <row lam| on the measured pair
+            direct = basis.t_matrix[lam0].conj() @ np.kron(inp, ch.vector()).reshape(4, 2)
+            assert np.allclose(receivers[lam0], direct, atol=1e-15)
+            assert np.allclose(receivers[lam0], 0.5 * (kernel_sigma(ch, basis)[lam0] @ inp), atol=1e-12)
+            assert np.allclose(receivers[lam0], 0.5 * (reference_sigma(ch, basis)[lam0] @ inp), atol=1e-12)
 
 
 def test_project_perfect_channel_probabilities_are_quarter():
     total = np.kron(random_state(2), np.array([H, 0, 0, H]))
-    for lam in range(1, 5):
-        p, _ = project(total, standard_bell(), lam)
-        assert p == pytest.approx(0.25, abs=1e-12)
+    probs, _ = project_one(total, standard_bell())
+    assert probs == pytest.approx([0.25] * 4, abs=1e-12)
 
 
 def test_project_partial_channel_probabilities_golden():
     inp = np.array([0.6, 0.8])
     ch = np.array([0.8, 0, 0, 0.6])
-    total = np.kron(inp, ch)
-    probs = [project(total, standard_bell(), lam)[0] for lam in range(1, 5)]
+    probs, _ = project_one(np.kron(inp, ch), standard_bell())
     assert probs == pytest.approx([0.2304, 0.2304, 0.2696, 0.2696], abs=1e-12)
 
 
 def test_project_receiver_norm_equals_probability():
-    total = random_state(8)
-    p, receiver = project(total, generalized_bell(0.8, 0.6), 3)
-    assert np.vdot(receiver, receiver).real == pytest.approx(p, abs=1e-15)
+    probs, receivers = project_one(random_state(8), generalized_bell(0.8, 0.6))
+    for p, receiver in zip(probs, receivers):
+        assert np.vdot(receiver, receiver).real == pytest.approx(p, abs=1e-15)
 
 
 def test_project_probabilities_sum_to_one_for_any_state():
     for basis in (standard_bell(), generalized_bell(0.28, math.sqrt(1 - 0.28**2))):
         for _ in range(25):
-            total = random_state(8)
-            s = sum(project(total, basis, lam)[0] for lam in range(1, 5))
-            assert s == pytest.approx(1.0, abs=1e-12)
+            probs, _ = project_one(random_state(8), basis)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_project_generalized_branch_amplitudes():
@@ -241,21 +251,8 @@ def test_project_generalized_branch_amplitudes():
     # crossed products (a*b', b*a') with a sign the correction removes
     inp = np.array([0.6, 0.8])
     total = np.kron(inp, np.array([0.8, 0, 0, 0.6]))
-    _, receiver = project(total, generalized_bell(0.6, 0.8), 2)
-    assert np.allclose(receiver, [0.8 * 0.8 * 0.6, -(0.6 * 0.6 * 0.8)], atol=1e-15)
-
-
-def test_project_validates_inputs():
-    for bad in ([1, 0, 0, 0], [1, 0, 0], [], random_state(8).reshape(2, 4)):
-        with pytest.raises(ValueError, match="length 8"):
-            project(np.array(bad), standard_bell(), 1)
-    for entry in (np.nan, np.inf * 1j):
-        bad = random_state(8)
-        bad[3] = entry
-        with pytest.raises(ValueError, match="finite"):
-            project(bad, standard_bell(), 1)
-    with pytest.raises(ValueError, match="1..4"):
-        project(random_state(8), standard_bell(), 0)
+    _, receivers = project_one(total, generalized_bell(0.6, 0.8))
+    assert np.allclose(receivers[1], [0.8 * 0.8 * 0.6, -(0.6 * 0.6 * 0.8)], atol=1e-15)
 
 
 def test_parse_basis_bell():
@@ -276,7 +273,7 @@ def test_parse_basis_rejects_bad_literals(bad):
 
 
 # The suite builds product states with np.kron; these pin the layout that
-# project expects of them: the left factor is most significant.
+# project_all expects of them: the left factor is most significant.
 
 
 def test_tensor_basis_states():

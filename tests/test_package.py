@@ -1,9 +1,26 @@
+import contextlib
+import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import telematch
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# The public surface, in full: a name added or removed shows up here.
+PUBLIC_NAMES = [
+    "Batch", "ChannelClass", "DegenerateBasisError", "InvalidBasisError", "KOutOfRangeError",
+    "KPolicy", "MonteCarloReport", "OutcomeReport", "Points", "ProtocolReport",
+    "PureInputState", "TwoQubitBasis", "TwoQubitChannel", "UnteleportableChannelError",
+    "__version__", "analytic_batch", "analytic_report", "channel_points", "classify",
+    "concurrence", "cpm", "format_complex", "generalized_bell", "k_bound", "matched_unitary",
+    "monte_carlo", "parse_basis", "parse_channel", "parse_complex", "points", "simulate_batch",
+    "simulate_report", "standard_bell",
+]
 
 
 def test_public_names_resolve_and_are_sorted():
@@ -11,7 +28,17 @@ def test_public_names_resolve_and_are_sorted():
     assert len(set(telematch.__all__)) == len(telematch.__all__)
     missing = [name for name in telematch.__all__ if not hasattr(telematch, name)]
     assert missing == []
-    assert "DegenerateBasisError" in telematch.__all__
+    assert telematch.__all__ == PUBLIC_NAMES
+
+
+def test_the_readme_python_blocks_run_in_order():
+    # one namespace for all blocks, so a later block may use an earlier one's names
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
 
 
 def test_importing_the_cli_builds_nothing_a_command_needs():

@@ -25,10 +25,9 @@ from telematch.measurement import (
     DegenerateBasisError,
     InvalidBasisError,
     TwoQubitBasis,
-    branch_operators,
     generalized_bell,
     parse_basis,
-    project,
+    project_all,
     standard_bell,
 )
 from telematch.protocol import (
@@ -45,12 +44,10 @@ from telematch.protocol import (
     b_axis_channels,
     channel_points,
     fig1_columns,
-    fig1_data,
     fig1_grid,
     k_bound,
     matched_unitary,
     monte_carlo,
-    optimal_k,
     points,
     simulate_batch,
     simulate_report,
@@ -250,14 +247,17 @@ def test_branch_coefficients_generalized_pairing():
 
 
 def test_outcome_operators_of_a_general_channel_are_its_branch_operators():
-    # tau_lam = sigma_lam / (2 pref), for channels off the a|00> + b|11> family too
+    # tau_lam = sigma_lam / (2 pref), for channels off the a|00> + b|11> family too,
+    # with sigma_lam = X @ B_lam and B_lam[j, i] = sqrt(2) conj(T[lam-1, 2i + j])
     for basis, pref in ((standard_bell(), H), (generalized_bell(0.6, 0.8), 1.0)):
+        t = basis.t_matrix
         for _ in range(10):
             ch = TwoQubitChannel(*random_channel_vector())
             tau = channel_points(ch, basis, "max-global").tau[0]
-            sigma = branch_operators(cpm(ch), basis)
             for lam0 in range(4):
-                assert np.allclose(2.0 * pref * tau[lam0], sigma[lam0], atol=1e-14)
+                b_lam = np.array([[math.sqrt(2.0) * t[lam0, 2 * i + j].conjugate() for i in range(2)]
+                                  for j in range(2)])
+                assert np.allclose(2.0 * pref * tau[lam0], cpm(ch) @ b_lam, atol=1e-14)
 
 
 def test_branch_coefficients_reject_unteleportable_channel():
@@ -292,25 +292,21 @@ def test_only_a_degenerate_basis_raises_degenerate_basis_error():
         assert not isinstance(info.value, DegenerateBasisError)
 
 
+def optimal_ks(ch, basis):
+    """Each outcome's largest valid K, as the max-per-outcome policy runs it."""
+    return channel_points(ch, basis, "max-per-outcome").k[0].tolist()
+
+
 def test_optimal_k_bell_is_inverse_larger_coefficient():
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
-    for lam in range(1, 5):
-        assert optimal_k(ch, standard_bell(), lam) == pytest.approx(1.25, abs=0)
+    assert optimal_ks(ch, standard_bell()) == pytest.approx([1.25] * 4, abs=0)
 
 
 def test_optimal_k_generalized_golden():
     ch = TwoQubitChannel.diagonal(0.9, math.sqrt(1 - 0.81))
     basis = generalized_bell(0.8, 0.6)
-    assert optimal_k(ch, basis, 1) == pytest.approx(1 / 0.72, rel=1e-12)
-    assert optimal_k(ch, basis, 2) == pytest.approx(1 / 0.54, rel=1e-12)
-    assert optimal_k(ch, basis, 3) == pytest.approx(1 / 0.54, rel=1e-12)
-    assert optimal_k(ch, basis, 4) == pytest.approx(1 / 0.72, rel=1e-12)
-
-
-def test_optimal_k_validates_lam():
-    ch = TwoQubitChannel.diagonal(0.8, 0.6)
-    with pytest.raises(ValueError, match="1..4"):
-        optimal_k(ch, standard_bell(), 7)
+    expected = [1 / 0.72, 1 / 0.54, 1 / 0.54, 1 / 0.72]
+    assert optimal_ks(ch, basis) == pytest.approx(expected, rel=1e-12)
 
 
 # ------------------------------------------------------ analytic report
@@ -425,7 +421,7 @@ def _random_config():
         basis = generalized_bell(ap, bp)
     mode = rng.integers(3)
     if mode == 0:
-        bounds = [optimal_k(ch, basis, lam) for lam in range(1, 5)]
+        bounds = optimal_ks(ch, basis)
         policy = KPolicy.fixed(rng.uniform(0.05, 1.0) * min(bounds))
     elif mode == 1:
         policy = KPolicy.max_global()
@@ -489,7 +485,7 @@ def test_generalized_total_closed_form():
         ap, bp = random_angle_pair()
         ch = TwoQubitChannel.diagonal(a, b)
         basis = generalized_bell(ap, bp)
-        bounds = [optimal_k(ch, basis, lam) for lam in range(1, 5)]
+        bounds = optimal_ks(ch, basis)
         k = rng.uniform(0.05, 1.0) * min(bounds)
         rep = analytic_report(random_input(), ch, basis, KPolicy.fixed(k))
         assert rep.total == pytest.approx(4.0 * (k * a * b * ap * bp) ** 2, abs=1e-12)
@@ -739,16 +735,17 @@ def test_monte_carlo_matches_per_trial_sampler_in_distribution(channel, basis, p
 
 
 def test_fig1_grid_endpoints_and_shape():
-    rows = fig1_data(2)
-    assert len(rows) == 2
-    assert rows[0].b == B_LO
-    assert rows[-1].b == pytest.approx(1.0 / math.sqrt(2.0), abs=0)
-    assert len(fig1_data(100)) == 100
+    columns = fig1_columns(fig1_grid(2))
+    assert [len(column) for column in columns] == [2] * 4
+    b = columns[0]
+    assert b[0] == B_LO
+    assert b[-1] == pytest.approx(1.0 / math.sqrt(2.0), abs=0)
+    assert [len(column) for column in fig1_columns(fig1_grid(100))] == [100] * 4
 
 
 def test_fig1_rejects_tiny_grids():
     with pytest.raises(ValueError, match="steps"):
-        fig1_data(1)
+        fig1_grid(1)
     # formerly "steps must be >= 2, got 1" for True
     for steps in (True, np.True_, False):
         with pytest.raises(ValueError, match=f"^steps must be an integer, got the bool {bool(steps)}$"):
@@ -758,19 +755,19 @@ def test_fig1_rejects_tiny_grids():
 def test_fig1_rows_match_protocol_reports():
     # each tabulated value must be reproducible from the protocol itself
     inp = PureInputState(H, H)
-    for row in fig1_data(7)[1:]:
-        a = math.sqrt(1 - row.b**2)
-        ch = TwoQubitChannel.diagonal(a, row.b)
+    rows = zip(*(column.tolist() for column in fig1_columns(fig1_grid(7))))
+    for b, p_opt, p_k1, p_ksqrt2 in list(rows)[1:]:
+        ch = TwoQubitChannel.diagonal(math.sqrt(1 - b**2), b)
         opt = analytic_report(inp, ch, standard_bell(), KPolicy.max_per_outcome())
-        assert row.p_opt == pytest.approx(opt.total, abs=1e-12)
+        assert p_opt == pytest.approx(opt.total, abs=1e-12)
         k1 = analytic_report(inp, ch, standard_bell(), KPolicy.fixed(1.0))
-        assert row.p_k1 == pytest.approx(k1.total, abs=1e-12)
-        assert row.p_ksqrt2 == pytest.approx(2.0 * row.p_k1, rel=1e-12)
+        assert p_k1 == pytest.approx(k1.total, abs=1e-12)
+        assert p_ksqrt2 == pytest.approx(2.0 * p_k1, rel=1e-12)
 
 
 def test_fig1_optimal_curve_dominates_fixed_k():
-    for row in fig1_data(500):
-        assert row.p_opt > row.p_k1
+    _, p_opt, p_k1, _ = fig1_columns(fig1_grid(500))
+    assert np.all(p_opt > p_k1)
 
 
 def test_fig1_columns_follow_the_closed_forms_on_a_large_grid():
@@ -1204,7 +1201,7 @@ def test_kernel_dilation_is_the_full_dilation_on_an_ancilla_in_zero(case):
         w, q = np.linalg.eigh(np.eye(2) - m.conj().T @ m)
         u = np.vstack([m, (q * np.sqrt(np.maximum(w, 0.0))) @ q.conj().T])
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-13
-        receiver = project(state, basis, lam0 + 1)[1]
+        receiver = project_all(state.reshape(4, 2, 1), basis)[1][lam0, :, 0]
         out = u @ receiver
         succ_w = np.vdot(out[:2], out[:2]).real
         assert abs(succ_w / np.vdot(receiver, receiver).real - p_bob[lam0]) <= 1e-12
@@ -1248,31 +1245,6 @@ def test_maximally_entangled_channels_are_perfect_and_run_at_total_one():
         for report in (analytic_report, simulate_report):
             rep = report(random_input(), ch, standard_bell(), KPolicy.max_global())
             assert rep.total == pytest.approx(1.0, abs=1e-12)
-
-
-# ------------------------------------------------------- outcome labels
-
-LAM_CALLERS = {
-    "project": lambda lam: project(np.full(8, 0.5**1.5), standard_bell(), lam),
-    "optimal_k": lambda lam: optimal_k(TwoQubitChannel.diagonal(0.8, 0.6), standard_bell(), lam),
-}
-
-
-@pytest.mark.parametrize("caller", LAM_CALLERS)
-@pytest.mark.parametrize(
-    "lam, shown",
-    [(2.0, "2.0"), (np.float64(3), "3.0"), (True, "True"), (np.True_, "True"), (0, "0"),
-     (5, "5"), (np.int64(7), "7"), ("1", "'1'"), (None, "None")],
-)
-def test_outcome_labels_are_integers_one_to_four(caller, lam, shown):
-    with pytest.raises(ValueError, match=f"^outcome label must be 1\\.\\.4, got {shown}$"):
-        LAM_CALLERS[caller](lam)
-
-
-@pytest.mark.parametrize("caller", LAM_CALLERS)
-def test_integer_labels_of_any_integer_type_are_accepted(caller):
-    for lam in (1, np.int64(2), np.uint8(3), 4):
-        LAM_CALLERS[caller](lam)
 
 
 # ------------------------------------------------------------ point memo
@@ -1321,8 +1293,6 @@ def test_reports_through_the_memo_equal_the_kernels_on_fresh_points(case, seed):
         assert monte_carlo(inp, ch, basis, policy, 1000, seed) == protocol._sample(
             analytic_batch(inp, pts), 1000, seed
         )
-        per_outcome = channel_points(ch, basis, "max-per-outcome").k[0].tolist()
-        assert [optimal_k(ch, basis, lam) for lam in (1, 2, 3, 4)] == per_outcome
 
 
 def _signed_zero_variants(amplitudes):
@@ -1388,12 +1358,13 @@ def test_the_memo_recomputes_its_oldest_point_after_maxsize_others(monkeypatch):
     basis = standard_bell()
     channels = [TwoQubitChannel.diagonal(math.cos(t), math.sin(t))
                 for t in np.linspace(0.1, 0.7, maxsize + 1).tolist()]
+    inp, policy = PureInputState(1.0, 0.0), KPolicy.max_per_outcome()
     for ch in channels:
-        optimal_k(ch, basis, 1)
+        analytic_report(inp, ch, basis, policy)
     assert len(calls) == maxsize + 1
-    optimal_k(channels[-1], basis, 2)  # the newest point is still there
+    simulate_report(inp, channels[-1], basis, policy)  # the newest point is still there
     assert len(calls) == maxsize + 1
-    optimal_k(channels[0], basis, 1)  # the oldest was dropped
+    analytic_report(inp, channels[0], basis, policy)  # the oldest was dropped
     assert len(calls) == maxsize + 2
 
 
