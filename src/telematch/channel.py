@@ -106,6 +106,17 @@ def _concurrences(x: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
 
 
+def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of m m^dag = [[p, r], [r*, q]] over the last two axes, as
+    (p, q, |r|): shared by `classify` and `protocol`'s K bounds."""
+    a = np.abs(m)
+    a *= a
+    p = a[..., 0, 0] + a[..., 0, 1]
+    q = a[..., 1, 0] + a[..., 1, 1]
+    r = np.abs(m[..., 0, 0] * m[..., 1, 0].conj() + m[..., 0, 1] * m[..., 1, 1].conj())
+    return p, q, r
+
+
 def concurrence(ch: TwoQubitChannel) -> float:
     """Entanglement of the channel: 2|x00*x11 - x01*x10|."""
     return float(_concurrences(ch.vector().reshape(1, 2, 2))[0])
@@ -114,14 +125,15 @@ def concurrence(ch: TwoQubitChannel) -> float:
 def classify(ch: TwoQubitChannel) -> ChannelClass:
     """Sort a channel by what its parameter matrix supports.
 
-    Unitary X (within NORMALIZATION_TOL) means deterministic teleportation;
+    Unitary X (every entry of X X^dag - I within NORMALIZATION_TOL in
+    modulus) means deterministic teleportation;
     this is checked first, so a maximally entangled channel is Perfect even
     though it is also trivially invertible. Singular X (concurrence |det X|
     <= NORMALIZATION_TOL, as `protocol.points` refuses) supports no
     teleportation at all. Everything between is probabilistic.
     """
-    x = cpm(ch)
-    if np.max(np.abs(x @ x.conj().T - np.eye(2))) <= NORMALIZATION_TOL:
+    p, q, r = _gram(cpm(ch))  # X X^dag - I = [[p - 1, r], [r*, q - 1]]
+    if max(abs(p - 1.0), abs(q - 1.0), r) <= NORMALIZATION_TOL:
         return ChannelClass.PERFECT
     if concurrence(ch) <= NORMALIZATION_TOL:
         return ChannelClass.UNTELEPORTABLE

@@ -171,10 +171,17 @@ def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, n
     outcome probabilities. Inputs are not validated.
     """
     receivers = (basis.t_conj @ states.reshape(4, -1)).reshape(states.shape)
-    sq = receivers.view(np.float64)  # real and imaginary parts interleaved
-    sq = sq * sq
-    sq = sq[..., 0::2] + sq[..., 1::2]
+    sq = _squared_moduli(receivers)
     return sq[:, 0] + sq[:, 1], receivers
+
+
+def _squared_moduli(z: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 per entry of a complex128 array, in float64; the last axis
+    must be contiguous. `project_all` and the simulation's success weight
+    square moduli this one way."""
+    v = z.view(np.float64)  # real and imaginary parts interleaved
+    v = v * v
+    return v[..., 0::2] + v[..., 1::2]
 
 
 def parse_basis(text: str) -> TwoQubitBasis:
@@ -188,11 +195,6 @@ def parse_basis(text: str) -> TwoQubitBasis:
             raise InvalidBasisError(
                 f"gbm basis needs two coefficients, got {text!r}"
             )
-        vals = []
-        for p in parts:
-            z = parse_complex(p)
-            if z.imag != 0:
-                raise InvalidBasisError("basis coefficients must be real")
-            vals.append(z.real)
-        return generalized_bell(vals[0], vals[1])
+        a_p, b_p = (parse_complex(p) for p in parts)
+        return generalized_bell(a_p, b_p)  # refuses complex coefficients
     raise InvalidBasisError(f"unknown basis literal {text!r} (want 'bell' or 'gbm:a,b')")

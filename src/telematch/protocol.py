@@ -40,10 +40,12 @@ from .channel import (
     TwoQubitChannel,
     UnteleportableChannelError,
     _concurrences,
+    _gram,
 )
 from .measurement import (
     DegenerateBasisError,
     TwoQubitBasis,
+    _squared_moduli,
     project_all,
     standard_bell,
 )
@@ -232,11 +234,7 @@ def _k_bounds(tau: np.ndarray) -> np.ndarray:
     max(p, q) when r = 0, as on every diagonal channel on Bell or gbm, where
     the correction is not computed. inf for 0; the caller sets np.errstate.
     """
-    m = np.abs(tau)
-    m *= m
-    p = m[..., 0, 0] + m[..., 0, 1]
-    q = m[..., 1, 0] + m[..., 1, 1]
-    r = np.abs(tau[..., 0, 0] * tau[..., 1, 0].conj() + tau[..., 0, 1] * tau[..., 1, 1].conj())
+    p, q, r = _gram(tau)
     if not np.count_nonzero(r):
         return 1.0 / np.sqrt(np.maximum(p, q))
     h = 0.5 * np.abs(p - q)
@@ -282,12 +280,12 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     return np.block([[m, s], [s, -m.conj()]])
 
 
-def _success_weight(amplitudes: np.ndarray):
-    """|a0|^2 + |a1|^2 over the first axis, summed in extended precision, so
-    that it does not depend on the order of the two heralded amplitudes."""
-    s = amplitudes.astype(np.clongdouble)
-    w = (s * s.conj()).real
-    return (w[0] + w[1]).astype(float)
+def _success_weight(amplitudes: np.ndarray) -> np.ndarray:
+    """|a0|^2 + |a1|^2 over the first axis: re^2 + im^2 in float64, as
+    `project_all` squares, and one IEEE addition, which does not depend on
+    the order of the two heralded amplitudes."""
+    w = _squared_moduli(amplitudes)
+    return w[0] + w[1]
 
 
 def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:

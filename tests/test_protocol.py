@@ -223,6 +223,24 @@ def test_success_weight_does_not_depend_on_the_order_of_the_heralded_amplitudes(
     assert np.array_equal(protocol._success_weight(z), protocol._success_weight(z[::-1]))
 
 
+def test_the_simulated_route_squares_moduli_in_plain_double():
+    # magnitudes from 1e-8 to 1, where an extended-precision weight differs
+    # from plain double on about 29% of pairs; a Python float is an IEEE double
+    def random_complex(shape):
+        modulus = 10.0 ** rng.uniform(-8.0, 0.0, size=shape)
+        return modulus * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=shape))
+
+    def reference(z0, z1):
+        return (z0.real * z0.real + z0.imag * z0.imag) + (z1.real * z1.real + z1.imag * z1.imag)
+
+    z = random_complex((2, 20000))
+    assert protocol._success_weight(z).tolist() == list(map(reference, *z.tolist()))
+    for basis in (standard_bell(), generalized_bell(0.6, 0.8)):
+        p_alice, receivers = project_all(random_complex((4, 2, 5000)), basis)
+        expected = [list(map(reference, *r)) for r in receivers.tolist()]
+        assert p_alice.tolist() == expected
+
+
 # ------------------------------------------------- branch coefficients
 
 # tau_lam of a channel a|00> + b|11> is diag(c0, c1) @ P_lam, with P_lam the
