@@ -39,7 +39,6 @@ from .protocol import (
     ProtocolReport,
     analytic_batch,
     analytic_report,
-    channel_points,
     k_bound,
     matched_unitary,
     monte_carlo,
@@ -68,7 +67,6 @@ __all__ = [
     "__version__",
     "analytic_batch",
     "analytic_report",
-    "channel_points",
     "classify",
     "concurrence",
     "cpm",

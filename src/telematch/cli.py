@@ -4,8 +4,8 @@ Exit codes follow the class of the error, wherever it is raised: 0 on
 success; 2 when the request is impossible physics, that is
 KOutOfRangeError, UnteleportableChannelError or DegenerateBasisError;
 1 for any other ValueError (a bad literal or inconsistent options) and
-for OSError. `run` and `montecarlo` take any pure channel; numbers
-print with 15 significant digits.
+for OSError. `run` and `montecarlo` take any pure channel and print
+the library's reports; numbers print with 15 significant digits.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import os
 import sys
 
@@ -33,14 +34,15 @@ from .protocol import (
     MAX_TRIALS,
     KOutOfRangeError,
     KPolicy,
-    _sample,
     analytic_batch,
+    analytic_report,
     b_axis_channels,
-    channel_points,
     fig1_columns,
     fig1_grid,
+    monte_carlo,
     points,
     simulate_batch,
+    simulate_report,
 )
 
 EXIT_OK = 0
@@ -122,30 +124,34 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _outcome_rows(batch):
-    """(lam, k_used, p_alice, p_bob, p_joint, fidelity) per outcome of the first point."""
-    return enumerate(zip(*(field[0].tolist() for field in batch[:5])), 1)
+# The numbers `run` prints per outcome, after lam.
+_outcome_row = operator.attrgetter("k_used", "p_alice", "p_bob", "p_joint", "fidelity")
+
+
+def _numbers(report):
+    """Every number of a report: the outcome rows, then the total."""
+    return [x for o in report.outcomes for x in _outcome_row(o)] + [report.total]
 
 
 def cmd_run(args) -> int:
     inp, ch, basis, policy = _literals(args)
-    pts = channel_points(ch, basis, policy.mode, policy.k)
-    ana, sim = analytic_batch(inp, pts), simulate_batch(inp, pts)
-    diff = max(float(np.max(np.abs(x - y))) for x, y in zip(ana, sim))
+    ana, sim = analytic_report(inp, ch, basis, policy), simulate_report(inp, ch, basis, policy)
+    diff = float(np.max(np.abs(np.subtract(_numbers(ana), _numbers(sim)))))
     reports = (("analytic", ana), ("simulated", sim))
     if args.format == "csv":
         print("source,lam,k_used,p_alice,p_bob,p_joint,fidelity,total,max_abs_diff")
-        for name, batch in reports:
-            for lam, row in _outcome_rows(batch):
-                print(",".join([name, str(lam), *map(_fmt, row), _fmt(batch.total[0]), _fmt(diff)]))
+        for name, report in reports:
+            for o in report.outcomes:
+                row = [name, str(o.lam), *map(_fmt, _outcome_row(o)), _fmt(report.total), _fmt(diff)]
+                print(",".join(row))
     else:
         header = f"{'outcome':>7}  {'k_used':>17}  {'p_alice':>17}  {'p_bob':>17}  {'p_joint':>17}  {'fidelity':>17}"
-        for name, batch in reports:
+        for name, report in reports:
             print(f"{name}:")
             print(header)
-            for lam, row in _outcome_rows(batch):
-                print(f"{lam:>7}  " + "  ".join(f"{_fmt(x):>17}" for x in row))
-            print(f"total success probability: {_fmt(batch.total[0])}")
+            for o in report.outcomes:
+                print(f"{o.lam:>7}  " + "  ".join(f"{_fmt(x):>17}" for x in _outcome_row(o)))
+            print(f"total success probability: {_fmt(report.total)}")
         print(f"max |analytic - simulated|: {_fmt(diff)}")
         print("note: total success probability does not depend on the input state")
     return EXIT_OK
@@ -156,9 +162,8 @@ def cmd_montecarlo(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ValueError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     inp, ch, basis, policy = _literals(args)
-    ana = analytic_batch(inp, channel_points(ch, basis, policy.mode, policy.k))
-    total = float(ana.total[0])
-    mc = _sample(ana, args.trials, seed)
+    total = analytic_report(inp, ch, basis, policy).total
+    mc = monte_carlo(inp, ch, basis, policy, args.trials, seed)  # on the point just resolved
     diff = mc.p_hat - total
     if diff == 0.0:
         z = 0.0
@@ -200,10 +205,10 @@ def cmd_sweep(args) -> int:
             raise ValueError("sweeping k needs --channel")
         if args.k != "max":  # the default, which a K sweep ignores
             raise ValueError("sweeping k takes K from the grid; drop --k")
-        ch = parse_channel(args.channel)
+        x = parse_channel(args.channel).vector().reshape(1, 2, 2)
 
         def block_points(g):
-            return channel_points(ch, basis, "fixed", g)
+            return points(x.repeat(len(g), axis=0), basis, "fixed", g)
     else:
         if args.channel is not None:
             raise ValueError("sweeping b derives the channel; drop --channel")

@@ -49,11 +49,11 @@ class TwoQubitBasis:
     family; a_p and b_p are the generalized coefficients (None for
     'bell'). Rows of t_matrix must be orthonormal. t_conj (conj(T), the
     factor of every projection), pref2 (pref^2, 1/2 for 'bell' and 1 for
-    'gbm'), blocks (see module doc) and real_blocks are derived; all arrays
-    are read-only. real_blocks is the float64 copy of blocks when T is real,
-    as in Bell and gbm, and None otherwise: `points` builds the tau of a
-    real amplitude stack from it in float64, bit for bit the real parts of
-    the complex product, and the tau of a complex stack from blocks as before.
+    'gbm') and blocks (see module doc) are derived; all arrays are
+    read-only. blocks are float64 when T is real, as in Bell and gbm, and
+    complex128 otherwise: `points` builds the tau of a real amplitude stack
+    on a real basis in float64, bit for bit the real parts of the complex
+    product, and numpy casts the blocks to complex for a complex stack.
     """
 
     kind: str
@@ -63,7 +63,6 @@ class TwoQubitBasis:
     t_conj: np.ndarray = field(init=False, repr=False)
     pref2: float = field(init=False, repr=False)
     blocks: np.ndarray = field(init=False, repr=False)
-    real_blocks: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in BASIS_KINDS:
@@ -87,15 +86,10 @@ class TwoQubitBasis:
         for k in range(2):
             blocks[:, k, :, :, k] = g
         blocks = blocks.reshape(16, 4)
+        if not t.imag.any():
+            blocks = np.ascontiguousarray(blocks.real)
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
-        # kept beside blocks, not in their place: numpy would cast real blocks
-        # to complex on every product with a complex stack
-        real_blocks = None
-        if not t.imag.any():
-            real_blocks = np.ascontiguousarray(blocks.real)
-            real_blocks.setflags(write=False)
-        object.__setattr__(self, "real_blocks", real_blocks)
 
 
 @functools.cache

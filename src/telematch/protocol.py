@@ -74,6 +74,16 @@ class KOutOfRangeError(ValueError):
     """Raised when K violates an outcome's matching bound."""
 
 
+def _check_mode(mode: str, k) -> None:
+    """Refuse an unknown K policy mode, 'fixed' without a K, and a K for a max mode."""
+    if mode not in K_POLICY_MODES:
+        raise ValueError(f"unknown K policy mode {mode!r}")
+    if mode == "fixed" and k is None:
+        raise ValueError("fixed K policy needs a value")
+    if mode != "fixed" and k is not None:
+        raise ValueError(f"policy {mode!r} takes no K value")
+
+
 @dataclass(frozen=True)
 class KPolicy:
     """How to choose the matching parameter K.
@@ -88,17 +98,12 @@ class KPolicy:
     k: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in K_POLICY_MODES:
-            raise ValueError(f"unknown K policy mode {self.mode!r}")
+        _check_mode(self.mode, self.k)
         if self.mode == "fixed":
-            if self.k is None:
-                raise ValueError("fixed K policy needs a value")
             k = float(self.k)
             if not math.isfinite(k) or k <= 0.0:
                 raise KOutOfRangeError(f"K must be a finite positive number, got {k!r}")
             object.__setattr__(self, "k", k)
-        elif self.k is not None:
-            raise ValueError(f"policy {self.mode!r} takes no K value")
 
     @classmethod
     def fixed(cls, k: float) -> "KPolicy":
@@ -316,24 +321,10 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     return _points(x, basis, mode, k, unnormalized)
 
 
-def channel_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k=None) -> Points:
-    """`points` for one channel object, with a K or an (N,) array of K."""
-    x = ch.vector().reshape(1, 2, 2)
-    if k is not None and np.ndim(k):
-        x = x.repeat(len(k), axis=0)
-    # the object checked its amplitudes when it was made
-    return _points(x, basis, mode, k)
-
-
 def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None) -> Points:
     """`points` on an (N, 2, 2) stack; unnormalized flags the points that failed
     the normalization check, None for amplitudes known to be normalized."""
-    if mode not in K_POLICY_MODES:
-        raise ValueError(f"unknown K policy mode {mode!r}")
-    if mode == "fixed" and k is None:
-        raise ValueError("fixed K policy needs a value")
-    if mode != "fixed" and k is not None:
-        raise ValueError(f"policy {mode!r} takes no K value")
+    _check_mode(mode, k)
     n = x.shape[0]
     if mode == "fixed" and np.shape(k) not in ((), (n,)):
         raise ValueError(
@@ -347,12 +338,9 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         # tau[n, lam, k, i] = sum_j G_lam[j, i] x[n, j, k] by one 2-D product; tau
         # is Fortran-ordered, so each entry tau[..., k, i] is one (N, 4) block.
-        # Real blocks for a real stack: each entry is one product c x, which
-        # complex arithmetic with zero imaginary parts rounds alike.
-        blocks = basis.blocks
-        if x.dtype.kind == "f" and basis.real_blocks is not None:
-            blocks = basis.real_blocks
-        tau = (blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
+        # A real stack on a real basis stays real: each entry is one product
+        # c x, which complex arithmetic with zero imaginary parts rounds alike.
+        tau = (basis.blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
         bounds = _k_bounds(tau)
         unentangled = _concurrences(x) <= NORMALIZATION_TOL
         fails = unentangled if unnormalized is None else unentangled | unnormalized
@@ -398,13 +386,14 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
 # A few kB in all: enough for callers that take turns over a few points.
 @functools.lru_cache(maxsize=32)
 def _report_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k) -> Points:
-    """`channel_points` for one point of the scalar API, memoized.
+    """`points` for one channel object of the scalar API, memoized.
 
     Keyed by the channel's value, the basis object (bases compare by
     identity) and the policy's mode and K. The arrays are read-only, as
     every caller shares them. A refused point raises and is not stored.
     """
-    pts = channel_points(ch, basis, mode, k)
+    # the object checked its amplitudes when it was made
+    pts = _points(ch.vector().reshape(1, 2, 2), basis, mode, k)
     for a in pts[1:]:
         a.setflags(write=False)
     return pts
@@ -532,11 +521,6 @@ def monte_carlo(
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     batch = analytic_batch(inp, _report_points(ch, basis, policy.mode, policy.k))
-    return _sample(batch, trials, seed)
-
-
-def _sample(batch: Batch, trials: int, seed: int) -> MonteCarloReport:
-    """monte_carlo on the first point of an analytic batch."""
     rng = np.random.default_rng(seed)
     outcomes = rng.multinomial(trials, batch.p_alice[0]).tolist()
     # Four scalar draws: the same counts and generator state as one array call,

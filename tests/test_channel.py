@@ -22,7 +22,7 @@ from telematch.channel import (
     parse_complex,
 )
 from telematch.measurement import standard_bell
-from telematch.protocol import channel_points, points
+from telematch.protocol import points
 
 rng = np.random.default_rng(61803)
 
@@ -275,7 +275,7 @@ def test_classify_refuses_exactly_the_channels_points_refuses(b, p0, p1, q0, q1,
     unteleportable = classify(ch) is ChannelClass.UNTELEPORTABLE
     assert unteleportable == (concurrence(ch) <= NORMALIZATION_TOL)
     for resolve in (lambda: points(x[None], standard_bell(), "max-global"),
-                    lambda: channel_points(ch, standard_bell(), "max-global")):
+                    lambda: points(ch.vector().reshape(1, 2, 2), standard_bell(), "max-global")):
         try:
             resolve()
             refused = False

@@ -10,7 +10,7 @@ import telematch.protocol
 from telematch.channel import PureInputState, parse_channel
 from telematch.cli import MAX_STEPS, SEED_ENV, main
 from telematch.measurement import parse_basis
-from telematch.protocol import KPolicy, analytic_report, monte_carlo
+from telematch.protocol import KPolicy, analytic_report, monte_carlo, simulate_report
 
 
 def run_cli(argv):
@@ -711,23 +711,25 @@ def test_b_sweep_takes_negative_b(capsys):
 
 
 def test_montecarlo_validates_its_point_once(capsys, monkeypatch):
+    # and so does run: each prints two library results that share one memoized point
     calls = []
-    original = telematch.protocol.channel_points
+    original = telematch.protocol._points
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(telematch.protocol, "channel_points", counting)
-    monkeypatch.setattr(telematch.cli, "channel_points", counting)
-    for fmt in ("text", "csv"):
-        calls.clear()
-        code, _, _ = run_capture(capsys, MONTECARLO + ["--seed", "3", "--format", fmt])
-        assert code == 0
-        assert len(calls) == 1
+    monkeypatch.setattr(telematch.protocol, "_points", counting)
+    for argv in (MONTECARLO + ["--seed", "3"], RUN):
+        for fmt in ("text", "csv"):
+            telematch.protocol._report_points.cache_clear()
+            calls.clear()
+            code, _, _ = run_capture(capsys, argv + ["--format", fmt])
+            assert code == 0
+            assert len(calls) == 1
 
 
-@pytest.mark.parametrize(
+REPORT_CASES = pytest.mark.parametrize(
     "channel, basis, k",
     [
         ("diag:0.8,0.6", "bell", "1"),
@@ -736,6 +738,42 @@ def test_montecarlo_validates_its_point_once(capsys, monkeypatch):
         ("diag:0.48-0.64i,0.6", "gbm:0.6,0.8", "1.1"),
     ],
 )
+
+OUTCOME_FIELDS = ("k_used", "p_alice", "p_bob", "p_joint", "fidelity")
+
+
+@REPORT_CASES
+def test_run_output_equals_the_library_reports(capsys, channel, basis, k):
+    args = (PureInputState(0.6, 0.8j), parse_channel(channel), parse_basis(basis), KPolicy.parse(k))
+    reports = {"analytic": analytic_report(*args), "simulated": simulate_report(*args)}
+    ana, sim = reports.values()
+    diff = max([abs(ana.total - sim.total)] + [
+        abs(getattr(a, name) - getattr(s, name))
+        for a, s in zip(ana.outcomes, sim.outcomes) for name in OUTCOME_FIELDS
+    ])
+    argv = ["run", "--channel", channel, "--basis", basis, f"--k={k}", "--alpha", "0.6",
+            "--beta", "0.8i"]
+    fmt = "{:.15g}".format
+    csv = ["source,lam,k_used,p_alice,p_bob,p_joint,fidelity,total,max_abs_diff"] + [
+        ",".join([name, str(o.lam), *(fmt(getattr(o, f)) for f in OUTCOME_FIELDS),
+                  fmt(report.total), fmt(diff)])
+        for name, report in reports.items() for o in report.outcomes
+    ]
+    text = []
+    for name, report in reports.items():
+        text += [f"{name}:", "outcome  " + "  ".join(f"{f:>17}" for f in OUTCOME_FIELDS)]
+        text += [f"{o.lam:>7}  " + "  ".join(f"{fmt(getattr(o, f)):>17}" for f in OUTCOME_FIELDS)
+                 for o in report.outcomes]
+        text.append(f"total success probability: {fmt(report.total)}")
+    text += [f"max |analytic - simulated|: {fmt(diff)}",
+             "note: total success probability does not depend on the input state"]
+    assert run_capture(capsys, argv + ["--format", "csv"]) == (
+        0, "".join(line + "\n" for line in csv), ""
+    )
+    assert run_capture(capsys, argv) == (0, "".join(line + "\n" for line in text), "")
+
+
+@REPORT_CASES
 def test_montecarlo_output_equals_the_library_reports(capsys, channel, basis, k):
     inp = PureInputState(0.6, 0.8j)
     args = (inp, parse_channel(channel), parse_basis(basis), KPolicy.parse(k))

@@ -15,7 +15,7 @@ from telematch.measurement import (
     project_all,
     standard_bell,
 )
-from telematch.protocol import channel_points
+from telematch.protocol import points
 
 rng = np.random.default_rng(31415)
 
@@ -147,8 +147,8 @@ def test_the_basis_cache_is_bounded():
 def test_shared_basis_arrays_are_read_only(basis_factory):
     basis = basis_factory()
     assert np.array_equal(basis.t_conj, basis.t_matrix.conj())
-    assert np.array_equal(basis.real_blocks, basis.blocks)
-    for name in ("t_matrix", "t_conj", "blocks", "real_blocks"):
+    assert basis.blocks.dtype == np.float64
+    for name in ("t_matrix", "t_conj", "blocks"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(basis, name)[0, 0] = 2.0
 
@@ -164,7 +164,8 @@ def reference_sigma(ch, basis):
 
 def kernel_sigma(ch, basis):
     """2 pref tau_lam, from the outcome operators the kernels run on."""
-    return 2.0 * math.sqrt(basis.pref2) * channel_points(ch, basis, "max-global").tau[0]
+    tau = points(ch.vector().reshape(1, 2, 2), basis, "max-global").tau[0]
+    return 2.0 * math.sqrt(basis.pref2) * tau
 
 
 def project_one(total, basis):
@@ -179,7 +180,7 @@ def test_branch_operators_perfect_channel_are_paulis():
     # Pauli rotations of the input
     ch = TwoQubitChannel.diagonal(H, H)
     paulis = (np.eye(2), PAULI_Z, PAULI_X, PAULI_X @ PAULI_Z)
-    tau = channel_points(ch, standard_bell(), "max-global").tau[0]
+    tau = points(ch.vector().reshape(1, 2, 2), standard_bell(), "max-global").tau[0]
     for ops in (reference_sigma(ch, standard_bell()), kernel_sigma(ch, standard_bell())):
         for op, pauli in zip(ops, paulis):
             assert np.allclose(op, pauli, atol=1e-12)

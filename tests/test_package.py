@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import os
@@ -17,9 +18,9 @@ PUBLIC_NAMES = [
     "Batch", "ChannelClass", "DegenerateBasisError", "InvalidBasisError", "KOutOfRangeError",
     "KPolicy", "MonteCarloReport", "OutcomeReport", "Points", "ProtocolReport",
     "PureInputState", "TwoQubitBasis", "TwoQubitChannel", "UnteleportableChannelError",
-    "__version__", "analytic_batch", "analytic_report", "channel_points", "classify",
-    "concurrence", "cpm", "format_complex", "generalized_bell", "k_bound", "matched_unitary",
-    "monte_carlo", "parse_basis", "parse_channel", "parse_complex", "points", "simulate_batch",
+    "__version__", "analytic_batch", "analytic_report", "classify", "concurrence", "cpm",
+    "format_complex", "generalized_bell", "k_bound", "matched_unitary", "monte_carlo",
+    "parse_basis", "parse_channel", "parse_complex", "points", "simulate_batch",
     "simulate_report", "standard_bell",
 ]
 
@@ -30,6 +31,19 @@ def test_public_names_resolve_and_are_sorted():
     missing = [name for name in telematch.__all__ if not hasattr(telematch, name)]
     assert missing == []
     assert telematch.__all__ == PUBLIC_NAMES
+
+
+def test_the_cli_imports_no_private_name_of_the_package():
+    # the CLI is a client of the library: it prints what the public functions return
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("telematch"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_the_package_names_no_extended_precision_type():

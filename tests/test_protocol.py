@@ -42,7 +42,6 @@ from telematch.protocol import (
     analytic_batch,
     analytic_report,
     b_axis_channels,
-    channel_points,
     fig1_columns,
     fig1_grid,
     k_bound,
@@ -61,6 +60,11 @@ H = 1.0 / math.sqrt(2.0)
 def unitarity_error(u):
     """max |(U U^dag - I)_ij|."""
     return np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
+
+
+def channel_stack(ch):
+    """(1, 2, 2) amplitude stack of one channel object."""
+    return ch.vector().reshape(1, 2, 2)
 
 
 def diag_stack(a, b):
@@ -250,14 +254,15 @@ P_LAM = [np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
 
 
 def test_branch_coefficients_bell_repeats_channel_pair():
-    tau = channel_points(TwoQubitChannel.diagonal(0.8, 0.6), standard_bell(), "max-global").tau[0]
+    ch = TwoQubitChannel.diagonal(0.8, 0.6)
+    tau = points(channel_stack(ch), standard_bell(), "max-global").tau[0]
     for lam0 in range(4):
         assert np.array_equal(tau[lam0], np.diag([0.8, 0.6]) @ P_LAM[lam0])
 
 
 def test_branch_coefficients_generalized_pairing():
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
-    tau = channel_points(ch, generalized_bell(0.6, 0.8), "max-global").tau[0]
+    tau = points(channel_stack(ch), generalized_bell(0.6, 0.8), "max-global").tau[0]
     direct = (0.8 * 0.6, 0.6 * 0.8)
     crossed = (0.8 * 0.8, 0.6 * 0.6)
     for lam0, pair in enumerate((direct, crossed, crossed, direct)):
@@ -271,7 +276,7 @@ def test_outcome_operators_of_a_general_channel_are_its_branch_operators():
         t = basis.t_matrix
         for _ in range(10):
             ch = TwoQubitChannel(*random_channel_vector())
-            tau = channel_points(ch, basis, "max-global").tau[0]
+            tau = points(channel_stack(ch), basis, "max-global").tau[0]
             for lam0 in range(4):
                 b_lam = np.array([[math.sqrt(2.0) * t[lam0, 2 * i + j].conjugate() for i in range(2)]
                                   for j in range(2)])
@@ -280,15 +285,15 @@ def test_outcome_operators_of_a_general_channel_are_its_branch_operators():
 
 def test_branch_coefficients_reject_unteleportable_channel():
     with pytest.raises(UnteleportableChannelError):
-        channel_points(TwoQubitChannel.diagonal(1, 0), standard_bell(), "max-global")
+        points(channel_stack(TwoQubitChannel.diagonal(1, 0)), standard_bell(), "max-global")
     with pytest.raises(UnteleportableChannelError):  # a product state off the diagonal
-        channel_points(TwoQubitChannel(0.5, 0.5, 0.5, 0.5), standard_bell(), "max-global")
+        points(channel_stack(TwoQubitChannel(0.5, 0.5, 0.5, 0.5)), standard_bell(), "max-global")
 
 
 def test_branch_coefficients_reject_degenerate_basis():
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
     with pytest.raises(InvalidBasisError, match="zero"):
-        channel_points(ch, generalized_bell(1.0, 0.0), "max-per-outcome")
+        points(channel_stack(ch), generalized_bell(1.0, 0.0), "max-per-outcome")
 
 
 def test_b_axis_beyond_the_double_range_is_refused_without_warnings():
@@ -312,7 +317,7 @@ def test_only_a_degenerate_basis_raises_degenerate_basis_error():
 
 def optimal_ks(ch, basis):
     """Each outcome's largest valid K, as the max-per-outcome policy runs it."""
-    return channel_points(ch, basis, "max-per-outcome").k[0].tolist()
+    return points(channel_stack(ch), basis, "max-per-outcome").k[0].tolist()
 
 
 def test_optimal_k_bell_is_inverse_larger_coefficient():
@@ -1102,11 +1107,11 @@ def test_real_stacks_give_the_numbers_of_the_same_stacks_taken_as_complex(case):
 def test_real_stacks_stay_real_only_on_a_real_basis():
     assert protocol._diagonal(0.8, 0.6).dtype == b_axis_channels([0.6]).dtype == np.float64
     assert protocol._diagonal(0.8, 0.6j).dtype == np.complex128
-    assert standard_bell().real_blocks.dtype == generalized_bell(-0.6, 0.8).real_blocks.dtype == np.float64
+    assert standard_bell().blocks.dtype == generalized_bell(-0.6, 0.8).blocks.dtype == np.float64
     # the Bell rows times phases: a complex basis, on which a real stack takes the complex product
     t = standard_bell().t_matrix * np.exp(1j * np.array([0.3, 1.1, -0.7, 2.0]))[:, None]
     basis = TwoQubitBasis("bell", None, None, t)
-    assert basis.real_blocks is None
+    assert basis.blocks.dtype == np.complex128
     x = b_axis_channels([0.6, 0.3])
     real, twin = points(x, basis, "max-per-outcome"), points(x.astype(complex), basis, "max-per-outcome")
     assert real.x.dtype == np.float64 and real.tau.dtype == np.complex128
@@ -1273,20 +1278,20 @@ POINT_MEMO = protocol._report_points
 def _direct_reports(inp, ch, basis, policy):
     """Both reports from points resolved afresh, without the memo."""
     return tuple(
-        protocol._report(kernel(inp, channel_points(ch, basis, policy.mode, policy.k)))
+        protocol._report(kernel(inp, points(channel_stack(ch), basis, policy.mode, policy.k)))
         for kernel in (analytic_batch, simulate_batch)
     )
 
 
-def _count_channel_points(monkeypatch):
+def _count_point_resolutions(monkeypatch):
     calls = []
-    original = protocol.channel_points
+    original = protocol._points
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(protocol, "channel_points", counting)
+    monkeypatch.setattr(protocol, "_points", counting)
     return calls
 
 
@@ -1299,18 +1304,20 @@ def test_reports_through_the_memo_equal_the_kernels_on_fresh_points(case, seed):
     # read its point
     keys = [(drawn_basis, KPolicy(mode, k))]
     for basis in (drawn_basis, standard_bell()):
-        half = 0.5 * channel_points(ch, basis, "max-global").k[0, 0]
+        half = 0.5 * points(channel_stack(ch), basis, "max-global").k[0, 0]
         keys += [(basis, policy) for policy in (KPolicy.max_global(), KPolicy.max_per_outcome(),
                                                 KPolicy.fixed(half))]
+    fresh = []  # each key's sample from its own point, resolved into an empty memo
     for basis, policy in keys:
+        POINT_MEMO.cache_clear()
+        fresh.append(monte_carlo(inp, ch, basis, policy, 1000, seed))
+    POINT_MEMO.cache_clear()
+    for (basis, policy), mc in zip(keys, fresh):
         ana, sim = _direct_reports(inp, ch, basis, policy)
         for _ in range(2):  # a miss, then hits
             assert analytic_report(inp, ch, basis, policy) == ana
             assert simulate_report(inp, ch, basis, policy) == sim
-        pts = channel_points(ch, basis, policy.mode, policy.k)
-        assert monte_carlo(inp, ch, basis, policy, 1000, seed) == protocol._sample(
-            analytic_batch(inp, pts), 1000, seed
-        )
+        assert monte_carlo(inp, ch, basis, policy, 1000, seed) == mc
 
 
 def _signed_zero_variants(amplitudes):
@@ -1371,7 +1378,7 @@ def test_a_refused_point_raises_on_every_call(ch, basis, policy, error):
 
 
 def test_the_memo_recomputes_its_oldest_point_after_maxsize_others(monkeypatch):
-    calls = _count_channel_points(monkeypatch)
+    calls = _count_point_resolutions(monkeypatch)
     maxsize = POINT_MEMO.cache_info().maxsize
     basis = standard_bell()
     channels = [TwoQubitChannel.diagonal(math.cos(t), math.sin(t))
@@ -1387,7 +1394,7 @@ def test_the_memo_recomputes_its_oldest_point_after_maxsize_others(monkeypatch):
 
 
 def test_a_report_pair_resolves_its_point_once(monkeypatch):
-    calls = _count_channel_points(monkeypatch)
+    calls = _count_point_resolutions(monkeypatch)
     args = PureInputState(0.6, 0.8), TwoQubitChannel.diagonal(0.8, 0.6), generalized_bell(0.6, 0.8)
     for policy in (KPolicy.fixed(1.0), KPolicy.max_global(), KPolicy.max_per_outcome()):
         calls.clear()
