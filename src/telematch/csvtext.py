@@ -6,12 +6,14 @@ Python's formatter only the few values numpy cannot decide:
 - Digits. With e = floor(log10 |x|), corrected by one where it misses,
   s = |x| 10^(14-e) lies in [1e14, 1e15). It is found in float64 by
   error-free transformations (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
-  26, 1955, 2005): 10^(14-e) is a double-double hi + lo from a table
-  exact to 2^-105, and |x| hi is its rounded product plus the exact error
-  of that product (Dekker's product of two Veltkamp splits). With w the
-  floor of the rounded product, the rest s - w lies in (-0.5, 1.5) and
-  is known to within 2e-16. The 15 significant digits are w plus s - w
-  rounded to an integer, carried to the next exponent at 10^15.
+  26, 1955, 2005): 10^(14-e) is a double-double hi + lo from a correctly
+  rounded table, hi the double nearest 10^(14-e) and lo the double nearest
+  the rest, so hi + lo is exact to 2^-105; |x| hi is its rounded product
+  plus the exact error of that product (Dekker's product of two Veltkamp
+  splits). With w the floor of the rounded product, the rest s - w lies
+  in (-0.5, 1.5) and is known to within 2e-16. The 15 significant digits
+  are w plus s - w rounded to an integer, carried to the next exponent at
+  10^15.
 - Fallback. Where s - w lies within 2^-50 of 0.5, which takes in the
   exact ties that round half to even, the rounding is not decided, and
   the value goes to `%.15g`. So do zeros, nan, +-inf and |x| outside
@@ -63,30 +65,16 @@ def _split(a):
 
 
 def _powers_of_ten() -> np.ndarray:
-    """Per exponent e, 10^(14-e) as hi + lo, within 2^-105 of it, in the
-    columns hi, lo and the two halves of hi. Python converts an int to the
-    nearest double: for 10^p, hi is the double nearest the int 10^p and lo
-    the double nearest the rest; for 10^-p, the same is done for the
-    120-bit int floor(2^k / 10^p), and both are scaled by 2^-k."""
-    ints, scales = [], []
-    n = 1
-    for p in range(1, _E_HI - 13):  # 10^-p
-        n *= 10
-        k = n.bit_length() + 119
-        ints.append((1 << k) // n)
-        scales.append(-k)
-    ints.reverse()
-    scales.reverse()
-    n = 1
-    for p in range(15 - _E_LO):  # 10^p
-        ints.append(n)
-        n *= 10
-    scales += [0] * (15 - _E_LO)
-    hi = [float(n) for n in ints]
-    lo = [float(n - int(h)) for n, h in zip(ints, hi)]
-    # in the order of e, from 10^(14 - _E_LO) down
-    scales = np.array(scales[::-1])
-    hi, lo = np.ldexp(hi[::-1], scales), np.ldexp(lo[::-1], scales)
+    """Per exponent e, 10^(14-e) as hi + lo, hi the double nearest it and lo
+    the double nearest the rest, in the columns hi, lo and the two halves of
+    hi. Both are quotients of Python ints, which Python rounds correctly."""
+    hi, lo = [], []
+    tens = [10**p for p in range(15 - _E_LO)]
+    for e in range(_E_LO, _E_HI + 1):
+        num, den = (tens[14 - e], 1) if e <= 14 else (1, tens[e - 14])
+        hi.append(num / den)
+        m, d = hi[-1].as_integer_ratio()
+        lo.append((num * d - m * den) / (den * d))
     # split the mantissa: 10^305 times 2^27 would overflow
     frac, exp = np.frexp(hi)
     return np.column_stack([hi, lo, *(np.ldexp(half, exp) for half in _split(frac))])
@@ -98,25 +86,16 @@ _P10 = _powers_of_ten()
 def _four_digits():
     """The four ASCII digits of 0..9999, the most significant in the lowest
     byte, followed by the same with trailing zeros as NUL (all NUL for 0)."""
-    a = np.arange(10, dtype=_U)
-
-    def word(byte):
-        """byte[i] | byte[j] << 8 | byte[k] << 16 | byte[l] << 24 at 1000 i + 100 j + 10 k + l."""
-        return (byte[:, None, None, None] | byte[:, None, None] << _U(8) | byte[:, None] << _U(16)
-                | byte << _U(24)).ravel()
-
-    digits = word(a + _U(ord("0")))
-    # the bytes of the nonzero digits, and every byte below one
-    keep = word(np.minimum(a, _U(1)) * _U(255))
-    keep |= keep >> _U(8)
-    keep |= keep >> _U(16)
-    return np.concatenate([digits, digits & keep])
+    place = np.array([[1000], [100], [10], [1]], np.uint32)
+    digits = np.arange(10000, dtype=np.uint32) // place % 10
+    # a digit is kept where it or a later one is nonzero
+    kept = np.logical_or.accumulate(digits[::-1] != 0)[::-1]
+    text = (digits + ord("0")) << 8 * np.arange(4, dtype=np.uint32)[:, None]
+    return np.concatenate([np.bitwise_or.reduce(text), np.bitwise_or.reduce(text * kept)]).astype(_U)
 
 
 _DIG4 = _four_digits()
 _DIG4_STRIPPED = _DIG4[10000:]
-
-_DOT, _ZERO, _MINUS = (ord(c) for c in ".0-")
 
 
 def _layouts() -> np.ndarray:
@@ -125,38 +104,26 @@ def _layouts() -> np.ndarray:
     the bit shift of the digits after the point, two of what goes before
     those digits (the point, or the "0.00" that precedes the digits of an
     exponent below 0), and the word of the exponent at bytes 17 to 21."""
-    n = _E_HI + 1 - _E_LO
-    head = np.zeros((n, 16), np.uint8)
-    shift = np.full(n, 16, _U)
-    fill = np.zeros((n, 16), np.uint8)
-    exp = np.zeros((n, 24), np.uint8)
-    # scientific: d.ddd, then "e+dd" or "e-ddd"
-    head[:, 0] = 255
-    fill[:, 2] = _DOT
-    exponent = np.arange(_E_LO, _E_HI + 1)
-    a = np.abs(exponent)
-    wide = a >= 100
-    exp[:, 17] = ord("e")
-    exp[:, 18] = np.where(exponent < 0, _MINUS, ord("+"))
-    exp[:, 19:21] = np.where(wide, [a // 100, a // 10 % 10], [a // 10, a % 10]).T + _ZERO
-    exp[wide, 21] = a[wide] % 10 + _ZERO
-    for e in range(-4, 15):  # fixed notation
-        r = e - _E_LO
-        head[r] = fill[r] = exp[r] = 0
-        if e < 0:  # "0.", the zeros, the digits
-            fill[r, 1:2 - e] = _ZERO
-            fill[r, 2] = _DOT
-            shift[r] = 8 * (2 - e)
-        else:  # e + 1 digits before the point
-            head[r, :e + 1] = 255
-            if e < 14:
-                fill[r, e + 2] = _DOT
-    head = head.view(_U)
-    return np.column_stack([head, ~head, shift, fill.view(_U), exp.view(_U)[:, 2]])
+
+    def row(before, shift, fill):
+        return ((b"\xff" * before).ljust(16, b"\0") + (b"\0" * before).ljust(16, b"\xff")
+                + bytes([shift]).ljust(8, b"\0") + fill.ljust(16, b"\0"))
+
+    scientific = row(1, 16, b"\0\0.")  # d.ddd
+    rows = []
+    for e in range(_E_LO, _E_HI + 1):
+        if not -4 <= e <= 14:  # then the exponent as C's %g writes it
+            rows.append(scientific + (b"\0e%+03d" % e).ljust(8, b"\0"))
+        elif e < 0:  # "0.", the zeros, the digits
+            rows.append(row(0, 8 * (2 - e), b"\0" + b"0.".ljust(1 - e, b"0")) + bytes(8))
+        else:  # e + 1 digits before the point, and the point unless e is 14
+            rows.append(row(e + 1, 16, b"\0" * (e + 2) + b"." * (e < 14)) + bytes(8))
+    return np.frombuffer(b"".join(rows), _U).reshape(-1, 8)
 
 
 _LAYOUT = _layouts()
 _ZEROS = _U(0x3030303030303030)
+_MINUS = ord("-")
 
 
 def rows_text(columns) -> str:

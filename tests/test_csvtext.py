@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 import telematch.csvtext
 from telematch.cli import main
-from telematch.csvtext import _E_LO, _P10, VECTOR_MIN, _digits, _vector_rows, rows_text
+from telematch.csvtext import (_DIG4, _DIG4_STRIPPED, _E_LO, _LAYOUT, _P10, VECTOR_MIN, _digits, _vector_rows,
+                               rows_text)
 from telematch.protocol import fig1_columns, fig1_grid
 
 
@@ -107,6 +108,19 @@ def test_power_table_is_exact_to_2_pow_104():
         for half in (hi1, hi2):
             n = abs(half.as_integer_ratio()[0])
             assert n == 0 or (n // (n & -n)).bit_length() <= 26, e
+
+
+def test_tables_equal_their_definitions():
+    # hi is the double nearest 10^(14-e), lo the double nearest the rest
+    for e, (hi, lo, _, _) in enumerate(_P10, _E_LO):
+        exact = Fraction(10) ** (14 - e)
+        assert hi == float(exact), e
+        assert lo == float(exact - Fraction(hi)), e
+    # bytes 16 to 23 of a number's text: the exponent, at 17 to 21, in scientific notation only
+    for e, exponent in enumerate(_LAYOUT[:, 7:].view("S8").ravel().tolist(), _E_LO):
+        assert exponent == (b"" if -4 <= e <= 14 else ("\0e%+03d" % e).encode()), e
+    assert _DIG4[:10000].view("S8").tolist() == [f"{i:04d}".encode() for i in range(10000)]
+    assert _DIG4_STRIPPED.view("S8").tolist() == [f"{i:04d}".rstrip("0").encode() for i in range(10000)]
 
 
 def test_blocks_below_the_vector_minimum_take_the_scalar_path(monkeypatch):
