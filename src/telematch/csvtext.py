@@ -3,7 +3,7 @@
 `rows_text` builds the text of a whole block with numpy and hands to
 Python's formatter only the few values numpy cannot decide:
 
-- Digits. With e = floor(log10 |x|), corrected by one where it misses,
+- Digits. With e = floor(log10 |x|) where log10 does not miss it,
   s = |x| 10^(14-e) lies in [1e14, 1e15). It is found in float64 by
   error-free transformations (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
   26, 1955, 2005): 10^(14-e) is a double-double hi + lo from a correctly
@@ -16,9 +16,11 @@ Python's formatter only the few values numpy cannot decide:
   10^15.
 - Fallback. Where s - w lies within 2^-50 of 0.5, which takes in the
   exact ties that round half to even, the rounding is not decided, and
-  the value goes to `%.15g`. So do zeros, nan, +-inf and |x| outside
-  [1e-290, 1e290). No long double is used, so the vector path runs on
-  every platform.
+  the value goes to `%.15g`. So do zeros, nan, +-inf, |x| outside
+  [1e-290, 1e290), and values a few ulps from a power of ten whose
+  rounded log10 misses their exponent, where w misses [1e14, 1e15); if w
+  lands on 1e14 instead, the 15 digits are the power's. No long double
+  is used, so the vector path runs on every platform.
 - Layout. C's `%g` with precision 15: fixed notation for exponents from
   -4 to 14, else d.ddde+XX with at least two exponent digits, trailing
   zeros and a trailing point stripped. Each number's text is built in a
@@ -51,8 +53,8 @@ _BELOW_HI = np.nextafter(_HI, 0.0)
 _BAND = 2.0**-50
 
 # The exponents e the vector path may meet: floor(log10 |x|) for |x| in
-# [_LO, _HI), corrected by one. Row e - _E_LO of a per-exponent table
-# belongs to e.
+# [_LO, _HI), with one row of margin for log10's own miss and for the carry
+# to the next exponent. Row e - _E_LO of a per-exponent table belongs to e.
 _E_LO, _E_HI = -291, 290
 
 
@@ -88,8 +90,9 @@ def _four_digits():
     byte, followed by the same with trailing zeros as NUL (all NUL for 0)."""
     place = np.array([[1000], [100], [10], [1]], np.uint32)
     digits = np.arange(10000, dtype=np.uint32) // place % 10
-    # a digit is kept where it or a later one is nonzero
-    kept = np.logical_or.accumulate(digits[::-1] != 0)[::-1]
+    kept = digits != 0
+    for i in (2, 1, 0):  # a digit is kept where it or a later one is nonzero
+        kept[i] |= kept[i + 1]
     text = (digits + ord("0")) << 8 * np.arange(4, dtype=np.uint32)[:, None]
     return np.concatenate([np.bitwise_or.reduce(text), np.bitwise_or.reduce(text * kept)]).astype(_U)
 
@@ -173,16 +176,11 @@ def _digits(x: np.ndarray):
     ok = b == a
     row = (np.floor(np.log10(b)) - _E_LO).astype(np.intp)
     w, rest = _scaled(b, row)
-    if w.min() < 1e14 or w.max() >= 1e15:  # log10 rounded across a power of ten
-        i = ((w < 1e14) | (w >= 1e15)).nonzero()[0]
-        row[i] += np.where(w[i] < 1e14, -1, 1)
-        w[i], rest[i] = _scaled(b[i], row[i])
-        # a rounded product at a power of ten may still miss; carried or not, leave it
-        ok[i] &= (w[i] >= 1e14) & (w[i] < 1e15)
-    ok &= np.abs(rest - 0.5) >= _BAND
+    # a log10 rounded across a power of ten puts w outside [1e14, 1e15), or on 1e14: the power's digits
+    ok &= (w >= 1e14) & (w < 1e15) & (np.abs(rest - 0.5) >= _BAND)
     # rest lies in (-0.5, 1.5): it rounds to the carry into the last digit
     m = (w + np.rint(rest)).astype(np.int64)
-    if m.max() == 10**15:
+    if m.max() >= 10**15:  # above 10^15 only where log10 missed, which falls back
         carry = m == 10**15
         m[carry] = 10**14
         row += carry

@@ -423,15 +423,14 @@ def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
     v = np.abs(tau[..., 0] * inp.alpha + tau[..., 1] * inp.beta)
     v *= v
     p_alice = pts.basis.pref2 * (v[..., 0] + v[..., 1])
-    p_joint = _p_joint(pts, pts.k)
+    p_joint = _p_joint(pts.basis.pref2, _abs_det(pts.tau), pts.k)
     total = p_joint.sum(axis=-1)  # in outcome order
     return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones_like(p_joint), total)
 
 
-def _p_joint(pts: Points, k) -> np.ndarray:
-    """pref^2 (K |det tau|)^2: the chance that each outcome occurs and heralds success."""
-    m = k * _abs_det(pts.tau)
-    return pts.basis.pref2 * (m * m)
+def _p_joint(pref2, det: np.ndarray, k) -> np.ndarray:
+    """pref^2 (K det)^2, det = |det tau|: the chance that each outcome occurs and heralds success."""
+    return pref2 * np.square(k * det)
 
 
 def _abs_det(tau: np.ndarray) -> np.ndarray:
@@ -555,14 +554,7 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     b = np.asarray(b, dtype=float)
     pts = points(b_axis_channels(b), standard_bell(), "max-per-outcome")
-    # The totals of analytic_batch, which p_alice does not enter, with
-    # |det tau| taken once for both: _p_joint at K = 1 multiplies it by 1.0,
-    # which changes no bit. |a| and |b| are at most 1 at every valid point
-    # of the b axis, so each Bell-basis bound 1/max(|a|, |b|) is at least 1:
-    # K=1 is valid.
-    det = _abs_det(pts.tau)
-    m = pts.k * det
-    pref2 = pts.basis.pref2
-    p_opt = (pref2 * (m * m)).sum(axis=-1)
-    p_k1 = (pref2 * (det * det)).sum(axis=-1)
-    return b, p_opt, p_k1, 2.0 * p_k1
+    pref2, det = pts.basis.pref2, _abs_det(pts.tau)
+    # |a|, |b| <= 1 on the b axis, so each Bell-basis bound 1/max(|a|, |b|) >= 1: K=1 is valid
+    p_k1 = _p_joint(pref2, det, 1.0).sum(axis=-1)
+    return b, _p_joint(pref2, det, pts.k).sum(axis=-1), p_k1, 2.0 * p_k1

@@ -1,5 +1,6 @@
 import contextlib
 import io
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,48 @@ def test_widest_texts_take_the_vector_path_in_every_column():
 
 def test_fig1_values_never_fall_back():
     assert not _digits(np.column_stack(fig1_columns(fig1_grid(20000))).ravel())[2].any()
+
+
+def test_sweep_values_never_fall_back(monkeypatch):
+    blocks = []
+
+    def recorded(columns):
+        blocks.append(np.column_stack(columns).ravel())
+        return rows_text(columns)
+
+    monkeypatch.setattr(telematch.csvtext, "rows_text", recorded)
+    for argv in SWEEPS:
+        _stdout(argv)
+    values = np.concatenate(blocks)
+    assert values.size == 120000
+    assert not _digits(values)[2].any()
+
+
+def test_values_whose_log10_misses_their_exponent_fall_back():
+    # within a few ulps of a power of ten numpy's log10 may round across it:
+    # e = floor(log10 |x|) then misses the decimal exponent of x
+    values = np.array([v for name in ("powers of ten", "notation bounds", "extremes") for v in EXPLICIT[name]])
+    values = values[(np.abs(values) >= 1e-290) & (np.abs(values) < 1e290)]
+    a = np.abs(values)
+    e = np.floor(np.log10(a))
+    missed = e != [Decimal(v).adjusted() for v in a.tolist()]
+    # w, the floor of the rounded product |x| 10^(14-e), then misses [1e14, 1e15), unless it
+    # lands on 1e14: there x lies just below 10^e, and its 15 digits are those of 10^e
+    landed = np.floor(a * _P10[(e - _E_LO).astype(np.intp), 0]) == 1e14
+    assert (missed & ~landed).any()
+    assert _digits(values)[2][missed & ~landed].all()
+    _assert_same_text(values[missed])
+
+
+def test_a_log10_rounded_below_its_exponent_leaves_the_carry_to_the_others(monkeypatch):
+    # 1000.000000000001 scaled by 10^(14-2) gives 15 digits above 10^15, which fall
+    # back; 0.9999999999999998 in the same block still carries to 1
+    x = np.array([0.9999999999999998, 1000.000000000001])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda b: np.where(b == x[1], np.nextafter(3.0, 0.0), log10(b)))
+    m, row, fallback = _digits(x)
+    assert fallback.tolist() == [False, True] and m[1] > 10**15
+    _assert_same_text(x)
 
 
 def test_power_table_is_exact_to_2_pow_104():

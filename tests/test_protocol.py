@@ -1098,8 +1098,9 @@ def test_real_stacks_give_the_numbers_of_the_same_stacks_taken_as_complex(case):
             assert np.array_equal(got, want), (kernel.__name__, field)
     if b is not None:
         pts = points(b_axis_channels(b).astype(complex), standard_bell(), "max-per-outcome")
-        p_k1 = protocol._p_joint(pts, 1.0).sum(axis=-1)
-        want = (b, protocol._p_joint(pts, pts.k).sum(axis=-1), p_k1, 2.0 * p_k1)
+        det = protocol._abs_det(pts.tau)
+        p_k1 = protocol._p_joint(pts.basis.pref2, det, 1.0).sum(axis=-1)
+        want = (b, protocol._p_joint(pts.basis.pref2, det, pts.k).sum(axis=-1), p_k1, 2.0 * p_k1)
         for got, column in zip(fig1_columns(b), want):
             assert np.array_equal(got, column)
 
