@@ -203,7 +203,7 @@ def cmd_sweep(args) -> int:
     if args.param == "k":
         if args.channel is None:
             raise ValueError("sweeping k needs --channel")
-        if args.k != "max":  # the default, which a K sweep ignores
+        if KPolicy.parse(args.k) != KPolicy.max_global():  # a K sweep ignores the default
             raise ValueError("sweeping k takes K from the grid; drop --k")
         x = parse_channel(args.channel).vector().reshape(1, 2, 2)
 

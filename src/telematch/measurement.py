@@ -22,7 +22,6 @@ give blocks @ A.reshape(4) = tau_lam[k, i] over (i, k, lam).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,13 +31,18 @@ from .channel import SQRT2, parse_complex
 BASIS_KINDS = ("bell", "gbm")
 ORTHONORMALITY_TOL = 1e-9
 
+# gbm coefficients closer to zero than this leave some outcome with a
+# vanishing success amplitude.
+DEGENERATE_TOL = 1e-9
+
 
 class InvalidBasisError(ValueError):
     """Raised when basis coefficients do not describe a valid basis."""
 
 
 class DegenerateBasisError(InvalidBasisError):
-    """Raised for a valid basis in which some outcome never heralds success."""
+    """Raised when a gbm basis is built with a coefficient within DEGENERATE_TOL
+    of 0: a valid basis in which some outcome never heralds success."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,13 +51,15 @@ class TwoQubitBasis:
 
     kind is 'bell' for the standard basis or 'gbm' for the generalized
     family; a_p and b_p are the generalized coefficients (None for
-    'bell'). Rows of t_matrix must be orthonormal. t_conj (conj(T), the
-    factor of every projection), pref2 (pref^2, 1/2 for 'bell' and 1 for
-    'gbm') and blocks (see module doc) are derived; all arrays are
-    read-only. blocks are float64 when T is real, as in Bell and gbm, and
-    complex128 otherwise: `points` builds the tau of a real amplitude stack
-    on a real basis in float64, bit for bit the real parts of the complex
-    product, and numpy casts the blocks to complex for a complex stack.
+    'bell'), and a gbm with either within DEGENERATE_TOL of 0 raises
+    DegenerateBasisError. Rows of t_matrix must be orthonormal. t_conj
+    (conj(T), the factor of every projection), pref2 (pref^2, 1/2 for
+    'bell' and 1 for 'gbm') and blocks (see module doc) are derived; all
+    arrays are read-only. blocks are float64 when T is real, as in Bell
+    and gbm, and complex128 otherwise: `points` builds the tau of a real
+    amplitude stack on a real basis in float64, bit for bit the real parts
+    of the complex product, and numpy casts the blocks to complex for a
+    complex stack.
     """
 
     kind: str
@@ -67,6 +73,10 @@ class TwoQubitBasis:
     def __post_init__(self) -> None:
         if self.kind not in BASIS_KINDS:
             raise InvalidBasisError(f"unknown basis kind {self.kind!r}")
+        if self.kind == "gbm" and min(abs(self.a_p), abs(self.b_p)) <= DEGENERATE_TOL:
+            raise DegenerateBasisError(
+                "basis coefficients too close to zero: some outcome would never herald success"
+            )
         t = np.asarray(self.t_matrix, dtype=np.complex128)
         if t.shape != (4, 4):
             raise InvalidBasisError(f"basis matrix must be 4x4, got {t.shape}")
@@ -100,16 +110,7 @@ def standard_bell() -> TwoQubitBasis:
     reports on it share their resolved points (bases compare by identity).
     """
     h = 1.0 / SQRT2
-    t = np.array(
-        [
-            [h, 0, 0, h],
-            [h, 0, 0, -h],
-            [0, h, h, 0],
-            [0, h, -h, 0],
-        ],
-        dtype=np.complex128,
-    )
-    return TwoQubitBasis("bell", None, None, t)
+    return TwoQubitBasis("bell", None, None, _gbm_rows(h, h))
 
 
 def generalized_bell(a_p: float, b_p: float) -> TwoQubitBasis:
@@ -117,9 +118,9 @@ def generalized_bell(a_p: float, b_p: float) -> TwoQubitBasis:
 
     Rows are a_p|00> + b_p|11>, b_p|00> - a_p|11>, a_p|01> + b_p|10>,
     b_p|01> - a_p|10>. Requires a_p^2 + b_p^2 = 1; real coefficients
-    keep the rows orthonormal. Calls with the same coefficients, signed
-    zeros told apart, return one instance while it stays among the 32
-    most recently used.
+    keep the rows orthonormal. A coefficient within DEGENERATE_TOL of 0
+    raises DegenerateBasisError. Calls with equal coefficients return one
+    instance while it stays among the 32 most recently used.
     """
     if isinstance(a_p, complex) or isinstance(b_p, complex):
         if complex(a_p).imag != 0 or complex(b_p).imag != 0:
@@ -133,16 +134,20 @@ def generalized_bell(a_p: float, b_p: float) -> TwoQubitBasis:
             f"basis coefficients must satisfy a'^2 + b'^2 = 1, "
             f"got {a_p * a_p + b_p * b_p!r}"
         )
-    # -0.0 and 0.0 compare and hash equal; their signs keep them apart
-    return _generalized_bell(a_p, b_p, math.copysign(1.0, a_p), math.copysign(1.0, b_p))
+    return _generalized_bell(a_p, b_p)
 
 
 # About 2 kB per basis.
 @functools.lru_cache(maxsize=32)
-def _generalized_bell(a_p: float, b_p: float, *signs: float) -> TwoQubitBasis:
-    """`generalized_bell` on validated coefficients, memoized; `signs`, the
-    coefficients' signs, only tell -0.0 from 0.0 in the key."""
-    t = np.array(
+def _generalized_bell(a_p: float, b_p: float) -> TwoQubitBasis:
+    """`generalized_bell` on normalized finite coefficients, memoized; a
+    degenerate pair raises and is not stored."""
+    return TwoQubitBasis("gbm", a_p, b_p, _gbm_rows(a_p, b_p))
+
+
+def _gbm_rows(a_p: float, b_p: float) -> np.ndarray:
+    """The rows of gbm(a', b'); Bell's are those at a' = b' = 1/sqrt(2)."""
+    return np.array(
         [
             [a_p, 0, 0, b_p],
             [b_p, 0, 0, -a_p],
@@ -151,7 +156,6 @@ def _generalized_bell(a_p: float, b_p: float, *signs: float) -> TwoQubitBasis:
         ],
         dtype=np.complex128,
     )
-    return TwoQubitBasis("gbm", a_p, b_p, t)
 
 
 def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, np.ndarray]:

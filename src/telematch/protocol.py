@@ -42,21 +42,11 @@ from .channel import (
     _concurrences,
     _gram,
 )
-from .measurement import (
-    DegenerateBasisError,
-    TwoQubitBasis,
-    _squared_moduli,
-    project_all,
-    standard_bell,
-)
+from .measurement import TwoQubitBasis, _squared_moduli, project_all, standard_bell
 
 # Accept K at the matching bound despite last-ulp roundoff, while still
 # rejecting anything meaningfully above it.
 K_BOUND_RTOL = 1e-12
-
-# Basis coefficients closer to zero than this leave some outcome with a
-# vanishing success amplitude.
-DEGENERATE_TOL = 1e-9
 
 K_POLICY_MODES = ("fixed", "max-global", "max-per-outcome")
 
@@ -306,8 +296,8 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     raises what a single report on it would: ValueError for amplitudes
     that are not a normalized state, KOutOfRangeError for a K that is not
     finite and positive, UnteleportableChannelError for a concurrence
-    2|x00 x11 - x01 x10| <= 1e-9, DegenerateBasisError for a degenerate
-    basis, and KOutOfRangeError for a K above some outcome's bound.
+    2|x00 x11 - x01 x10| <= 1e-9, and KOutOfRangeError for a K above some
+    outcome's bound. A degenerate basis is refused where it is built.
     """
     x = np.asarray(x)
     x = x.astype(np.float64 if x.dtype.kind in "biuf" else np.complex128, copy=False)
@@ -330,9 +320,6 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
         raise ValueError(
             f"fixed K must be one number or one per point, got shape {np.shape(k)} for {n} points"
         )
-    degenerate = basis.kind == "gbm" and (
-        abs(basis.a_p) <= DEGENERATE_TOL or abs(basis.b_p) <= DEGENERATE_TOL
-    )
     # Every point is computed and checked, invalid ones included, whose
     # arithmetic may overflow or produce nan; only the first failure counts.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -344,8 +331,6 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
         bounds = _k_bounds(tau)
         unentangled = _concurrences(x) <= NORMALIZATION_TOL
         fails = unentangled if unnormalized is None else unentangled | unnormalized
-        if degenerate:
-            fails = np.ones(n, dtype=bool)
         ks = np.empty_like(bounds)
         if mode == "fixed":
             ks[:] = np.asarray(k, dtype=float)[..., None]
@@ -368,11 +353,6 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
             if unentangled[i]:
                 raise UnteleportableChannelError(
                     "channel carries no entanglement; nothing can be teleported"
-                )
-            if degenerate:
-                raise DegenerateBasisError(
-                    "basis coefficients too close to zero: some outcome would "
-                    "never herald success"
                 )
             if mode == "fixed" and not fits[i].all():
                 lam0 = int(fits[i].argmin())

@@ -270,6 +270,13 @@ def test_run_degenerate_basis_exits_two(capsys):
     assert code == 2
 
 
+def test_a_degenerate_basis_is_reported_before_an_unentangled_channel(capsys):
+    assert run_capture(capsys, ["run", "--channel", "diag:1,0", "--basis", "gbm:1,0"]) == (
+        2, "", "telematch: error: basis coefficients too close to zero: "
+               "some outcome would never herald success\n"
+    )
+
+
 def test_run_malformed_basis_exits_one(capsys):
     code, _, _ = run_capture(
         capsys, ["run", "--channel", "diag:0.8,0.6", "--basis", "gbm:0.5,0.5"]
@@ -647,6 +654,9 @@ MONTECARLO = ["montecarlo", "--channel", "diag:0.8,0.6", "--trials", "10"]
         pytest.param(RUN + ["--basis", "gbm:1,0"], None, 2, id="run-gbm-degenerate"),
         pytest.param(MONTECARLO + ["--basis", "gbm:1,0"], None, 2, id="mc-gbm-degenerate"),
         pytest.param(B_SWEEP + ["--basis", "gbm:1,0"], None, 2, id="sweep-gbm-degenerate"),
+        # ... and is refused when it is parsed, before any channel
+        pytest.param(["run", "--channel", "diag:1,0", "--basis", "gbm:1,0"], None, 2,
+                     id="run-gbm-degenerate-unentangled"),
         pytest.param(["run", "--channel", OFF_DIAGONAL_PRODUCT], None, 2, id="off-diagonal-channel"),
         pytest.param(RUN + ["--k", "1.3"], None, 2, id="k-above-bound"),
         pytest.param(RUN + ["--k", "abc"], None, 1, id="k-not-a-number"),
@@ -657,6 +667,7 @@ MONTECARLO = ["montecarlo", "--channel", "diag:0.8,0.6", "--trials", "10"]
         # K sweeps take K from the grid
         pytest.param(K_SWEEP + ["--k", "99"], None, 1, id="k-sweep-with-k"),
         pytest.param(K_SWEEP + ["--k", "per-outcome"], None, 1, id="k-sweep-with-k-per-outcome"),
+        pytest.param(K_SWEEP + ["--k", "abc"], None, 1, id="k-sweep-with-k-not-a-number"),
         # squared moduli beyond the double range
         pytest.param(["run", "--channel", "diag:1e200,0.5"], None, 1, id="channel-overflow"),
         pytest.param(RUN + ["--alpha", "1e200", "--beta", "1"], None, 1, id="input-overflow"),
@@ -804,6 +815,13 @@ def test_k_sweep_accepts_the_default_k(capsys):
     code, out, _ = run_capture(capsys, K_SWEEP)
     assert (code, out) == run_capture(capsys, K_SWEEP + ["--k=max"])[:2]
     assert code == 0
+
+
+@pytest.mark.parametrize("k", ["MAX", "max-global", " Max "])
+def test_k_sweep_accepts_every_spelling_of_the_default_k(capsys, k):
+    default = run_capture(capsys, K_SWEEP)
+    assert default[0] == 0
+    assert run_capture(capsys, K_SWEEP + ["--k", k]) == default
 
 
 # stdout of the release before the CLI read its arguments directly, pinned byte for byte,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from telematch import measurement
 from telematch.channel import TwoQubitChannel, cpm
 from telematch.measurement import (
+    DegenerateBasisError,
     InvalidBasisError,
     TwoQubitBasis,
     generalized_bell,
@@ -122,23 +123,37 @@ def test_each_basis_is_built_once():
     assert generalized_bell(0.8, 0.6) is not gbm
 
 
-def test_signed_zero_coefficients_give_distinct_bases():
-    # -0.0 == 0.0 and hash(-0.0) == hash(0.0), but each basis keeps its signs
-    for a_p, b_p in ((-0.0, 1.0), (0.0, 1.0), (1.0, -0.0), (1.0, 0.0)):
-        basis = generalized_bell(a_p, b_p)
-        assert (math.copysign(1.0, basis.a_p), math.copysign(1.0, basis.b_p)) == (
-            math.copysign(1.0, a_p), math.copysign(1.0, b_p))
-        assert generalized_bell(a_p, b_p) is basis
-    assert generalized_bell(-0.0, 1.0) is not generalized_bell(0.0, 1.0)
-    assert generalized_bell(-0.0, 1.0).t_matrix.tobytes() != generalized_bell(0.0, 1.0).t_matrix.tobytes()
+@pytest.mark.parametrize(
+    "a_p, b_p",
+    [(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (1.0, -0.0), (1e-9, math.sqrt(1.0 - 1e-18))],
+)
+def test_a_degenerate_basis_is_refused_when_built(a_p, b_p):
+    cached = measurement._generalized_bell.cache_info().currsize
+    with pytest.raises(DegenerateBasisError, match="too close to zero"):
+        generalized_bell(a_p, b_p)
+    assert measurement._generalized_bell.cache_info().currsize == cached
+
+
+def test_the_smallest_coefficient_above_the_tolerance_is_accepted():
+    # the edge of the oracle's gbm grid
+    basis = generalized_bell(2e-9, math.sqrt(1.0 - 4e-18))
+    assert basis.a_p == 2e-9 > measurement.DEGENERATE_TOL
+
+
+def test_a_degenerate_basis_is_refused_however_it_is_built():
+    with pytest.raises(DegenerateBasisError):
+        parse_basis("gbm:1,0")
+    # the degeneracy is read from the coefficients, not from the matrix
+    with pytest.raises(DegenerateBasisError):
+        TwoQubitBasis("gbm", 0.0, 1.0, generalized_bell(0.6, 0.8).t_matrix)
 
 
 def test_the_basis_cache_is_bounded():
     maxsize = measurement._generalized_bell.cache_info().maxsize
-    first = generalized_bell(1.0, 0.0)
+    first = generalized_bell(0.6, 0.8)
     for t in np.linspace(0.1, 1.4, maxsize).tolist():
         generalized_bell(math.cos(t), math.sin(t))
-    rebuilt = generalized_bell(1.0, 0.0)
+    rebuilt = generalized_bell(0.6, 0.8)
     assert rebuilt is not first
     assert rebuilt.t_matrix.tobytes() == first.t_matrix.tobytes()
 

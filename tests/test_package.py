@@ -46,6 +46,15 @@ def test_the_cli_imports_no_private_name_of_the_package():
     assert private == []
 
 
+def test_the_protocol_reads_no_degeneracy_of_a_basis():
+    # a basis refuses its own degeneracy when it is built; the kernels read
+    # only its blocks, t_conj and pref2
+    source = (PACKAGE / "protocol.py").read_text()
+    found = [name for name in ("DegenerateBasisError", "DEGENERATE_TOL", ".a_p", ".b_p")
+             if name in source]
+    assert found == []
+
+
 def test_the_package_names_no_extended_precision_type():
     # long double is 80-bit on x86-64 Linux and plain double on MSVC and macOS
     # arm64: a number computed in it would print differently by platform

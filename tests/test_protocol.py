@@ -1362,8 +1362,6 @@ def test_memoized_points_are_read_only():
          KOutOfRangeError),
         (TwoQubitChannel.diagonal(1.0, 0.0), standard_bell(), KPolicy.max_global(),
          UnteleportableChannelError),
-        (TwoQubitChannel.diagonal(0.8, 0.6), generalized_bell(1.0, 0.0), KPolicy.max_per_outcome(),
-         DegenerateBasisError),
     ],
 )
 def test_a_refused_point_raises_on_every_call(ch, basis, policy, error):
