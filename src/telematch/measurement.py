@@ -22,6 +22,7 @@ give blocks @ A.reshape(4) = tau_lam[k, i] over (i, k, lam).
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,25 +48,22 @@ class DegenerateBasisError(InvalidBasisError):
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitBasis:
-    """Orthonormal two-qubit measurement basis.
+    """Orthonormal two-qubit measurement basis, fixed by kind and coefficients.
 
-    kind is 'bell' for the standard basis or 'gbm' for the generalized
-    family; a_p and b_p are the generalized coefficients (None for
-    'bell'), and a gbm with either within DEGENERATE_TOL of 0 raises
-    DegenerateBasisError. Rows of t_matrix must be orthonormal. t_conj
-    (conj(T), the factor of every projection), pref2 (pref^2, 1/2 for
-    'bell' and 1 for 'gbm') and blocks (see module doc) are derived; all
-    arrays are read-only. blocks are float64 when T is real, as in Bell
-    and gbm, and complex128 otherwise: `points` builds the tau of a real
-    amplitude stack on a real basis in float64, bit for bit the real parts
-    of the complex product, and numpy casts the blocks to complex for a
-    complex stack.
+    kind is 'bell', which takes no coefficients, or 'gbm' with real a_p and
+    b_p of any numeric type (complex ones only with zero imaginary part),
+    stored as floats, finite and with a_p^2 + b_p^2 = 1. A gbm coefficient
+    within DEGENERATE_TOL of 0 raises DegenerateBasisError, any other fault
+    InvalidBasisError. Derived and read-only: t_matrix (complex128), the rows
+    of gbm(a_p, b_p), Bell's at a_p = b_p = 1/sqrt(2); t_conj = conj(T), the
+    factor of every projection; pref2 = pref^2, 1/2 for 'bell' and 1 for
+    'gbm'; blocks (see module doc), float64 as every row is real.
     """
 
     kind: str
-    a_p: float | None
-    b_p: float | None
-    t_matrix: np.ndarray
+    a_p: float | None = None
+    b_p: float | None = None
+    t_matrix: np.ndarray = field(init=False, repr=False)
     t_conj: np.ndarray = field(init=False, repr=False)
     pref2: float = field(init=False, repr=False)
     blocks: np.ndarray = field(init=False, repr=False)
@@ -73,33 +71,46 @@ class TwoQubitBasis:
     def __post_init__(self) -> None:
         if self.kind not in BASIS_KINDS:
             raise InvalidBasisError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "gbm" and min(abs(self.a_p), abs(self.b_p)) <= DEGENERATE_TOL:
-            raise DegenerateBasisError(
-                "basis coefficients too close to zero: some outcome would never herald success"
-            )
-        t = np.asarray(self.t_matrix, dtype=np.complex128)
-        if t.shape != (4, 4):
-            raise InvalidBasisError(f"basis matrix must be 4x4, got {t.shape}")
-        t_conj = t.conj()
-        gram = t @ t_conj.T
-        if float(np.max(np.abs(gram - np.eye(4)))) > ORTHONORMALITY_TOL:
-            raise InvalidBasisError("basis rows are not orthonormal")
-        t.setflags(write=False)
-        t_conj.setflags(write=False)
-        object.__setattr__(self, "t_matrix", t)
-        object.__setattr__(self, "t_conj", t_conj)
-        bell = self.kind == "bell"
-        object.__setattr__(self, "pref2", 0.5 if bell else 1.0)
-        # blocks[i, k, lam, j, k] = conj(T[lam, 2i + j]) / pref: +-1 or 0 for Bell
-        g = t_conj.reshape(4, 2, 2).transpose(1, 0, 2) / (1.0 / SQRT2 if bell else 1.0)
-        blocks = np.zeros((2, 2, 4, 2, 2), dtype=np.complex128)
+        if self.kind == "bell":
+            if self.a_p is not None or self.b_p is not None:
+                raise InvalidBasisError("the Bell basis takes no coefficients")
+            a_p = b_p = pref = 1.0 / SQRT2
+        else:
+            a_p, b_p = _coefficient(self.a_p), _coefficient(self.b_p)
+            norm2 = a_p * a_p + b_p * b_p
+            if not abs(norm2 - 1.0) <= ORTHONORMALITY_TOL:  # nan and inf fail too
+                raise InvalidBasisError(f"basis coefficients must satisfy a'^2 + b'^2 = 1, got {norm2!r}")
+            if min(abs(a_p), abs(b_p)) <= DEGENERATE_TOL:
+                raise DegenerateBasisError(
+                    "basis coefficients too close to zero: some outcome would never herald success"
+                )
+            object.__setattr__(self, "a_p", a_p)
+            object.__setattr__(self, "b_p", b_p)
+            pref = 1.0
+        t = _gbm_rows(a_p, b_p)
+        # blocks[i, k, lam, j, k] = T[lam, 2i + j] / pref: +-1 or 0 for Bell
+        g = t.real.reshape(4, 2, 2).transpose(1, 0, 2) / pref
+        blocks = np.zeros((2, 2, 4, 2, 2))
         for k in range(2):
             blocks[:, k, :, :, k] = g
-        blocks = blocks.reshape(16, 4)
-        if not t.imag.any():
-            blocks = np.ascontiguousarray(blocks.real)
-        blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
+        for name, value in (("t_matrix", t), ("t_conj", t.conj()), ("blocks", blocks.reshape(16, 4))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "pref2", 0.5 if self.kind == "bell" else 1.0)
+
+
+def _coefficient(z) -> float:
+    """A gbm coefficient as a float. Anything but a number, and a complex
+    number with a non-zero imaginary part, raises InvalidBasisError before
+    any cast could fail, warn or drop the imaginary part."""
+    if not isinstance(z, numbers.Number) or z.imag != 0:
+        raise InvalidBasisError(
+            f"basis coefficients must be real numbers, got {z} of type {type(z).__name__}"
+        )
+    try:
+        return float(z.real)
+    except OverflowError:  # an int or Fraction beyond the float range: not normalized
+        return float("inf")
 
 
 @functools.cache
@@ -109,40 +120,27 @@ def standard_bell() -> TwoQubitBasis:
     Built on the first call; every call returns that one instance, so
     reports on it share their resolved points (bases compare by identity).
     """
-    h = 1.0 / SQRT2
-    return TwoQubitBasis("bell", None, None, _gbm_rows(h, h))
+    return TwoQubitBasis("bell")
 
 
 def generalized_bell(a_p: float, b_p: float) -> TwoQubitBasis:
     """Generalized measurement basis with real coefficients a_p, b_p.
 
     Rows are a_p|00> + b_p|11>, b_p|00> - a_p|11>, a_p|01> + b_p|10>,
-    b_p|01> - a_p|10>. Requires a_p^2 + b_p^2 = 1; real coefficients
-    keep the rows orthonormal. A coefficient within DEGENERATE_TOL of 0
-    raises DegenerateBasisError. Calls with equal coefficients return one
-    instance while it stays among the 32 most recently used.
+    b_p|01> - a_p|10>; `TwoQubitBasis` checks the coefficients. Calls with
+    equal coefficients return one instance while it stays among the 32 most
+    recently used; a refused pair is not stored.
     """
-    if isinstance(a_p, complex) or isinstance(b_p, complex):
-        if complex(a_p).imag != 0 or complex(b_p).imag != 0:
-            raise InvalidBasisError("basis coefficients must be real")
-        a_p, b_p = complex(a_p).real, complex(b_p).real
-    a_p, b_p = float(a_p), float(b_p)
-    if not (np.isfinite(a_p) and np.isfinite(b_p)):
-        raise InvalidBasisError("basis coefficients must be finite")
-    if abs(a_p * a_p + b_p * b_p - 1.0) > ORTHONORMALITY_TOL:
-        raise InvalidBasisError(
-            f"basis coefficients must satisfy a'^2 + b'^2 = 1, "
-            f"got {a_p * a_p + b_p * b_p!r}"
-        )
-    return _generalized_bell(a_p, b_p)
+    try:
+        return _generalized_bell(a_p, b_p)
+    except TypeError:  # an unhashable argument, which no number is: refused below
+        return TwoQubitBasis("gbm", a_p, b_p)
 
 
 # About 2 kB per basis.
 @functools.lru_cache(maxsize=32)
-def _generalized_bell(a_p: float, b_p: float) -> TwoQubitBasis:
-    """`generalized_bell` on normalized finite coefficients, memoized; a
-    degenerate pair raises and is not stored."""
-    return TwoQubitBasis("gbm", a_p, b_p, _gbm_rows(a_p, b_p))
+def _generalized_bell(a_p, b_p) -> TwoQubitBasis:
+    return TwoQubitBasis("gbm", a_p, b_p)
 
 
 def _gbm_rows(a_p: float, b_p: float) -> np.ndarray:

@@ -189,9 +189,9 @@ class Points(NamedTuple):
 
     x holds the (N, 2, 2) channel amplitudes x[n, j, k] = x_jk; tau the
     (N, 4, 2, 2) outcome operators of each point; k the (N, 4) K each
-    outcome runs at. x and tau are float64 for a real stack on a real
-    basis, bit for bit equal to the complex128 arrays of the same stack
-    taken as complex, and complex128 otherwise.
+    outcome runs at. x and tau are float64 for a real stack, bit for bit
+    equal to the complex128 arrays of the same stack taken as complex, and
+    complex128 otherwise.
     """
 
     basis: TwoQubitBasis
@@ -289,9 +289,9 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     x is an (N, 2, 2) stack of amplitudes x[n, j, k] = x_jk, j the
     sender's qubit; 'fixed' takes k as one number or one per point, and
     another shape of either raises ValueError. A real stack (float, int
-    or bool) is kept in float64, and on a real basis (Bell or gbm) so are
-    its tau, K bounds and filters until the input state enters a kernel:
-    bit for bit the numbers of the same stack with zero imaginary parts.
+    or bool) is kept in float64, and so are its tau, K bounds and filters
+    until the input state enters a kernel: bit for bit the numbers of the
+    same stack with zero imaginary parts.
     A complex stack stays complex128, as before. The first failing point
     raises what a single report on it would: ValueError for amplitudes
     that are not a normalized state, KOutOfRangeError for a K that is not
@@ -325,8 +325,8 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         # tau[n, lam, k, i] = sum_j G_lam[j, i] x[n, j, k] by one 2-D product; tau
         # is Fortran-ordered, so each entry tau[..., k, i] is one (N, 4) block.
-        # A real stack on a real basis stays real: each entry is one product
-        # c x, which complex arithmetic with zero imaginary parts rounds alike.
+        # A real stack stays real: each entry is one product c x, which
+        # complex arithmetic with zero imaginary parts rounds alike.
         tau = (basis.blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
         bounds = _k_bounds(tau)
         unentangled = _concurrences(x) <= NORMALIZATION_TOL

@@ -93,18 +93,72 @@ def test_generalized_bell_rejects_complex_coefficients():
 def test_generalized_bell_rejects_nonfinite():
     with pytest.raises(InvalidBasisError):
         generalized_bell(float("nan"), 0.6)
-
-
-def test_basis_rejects_nonorthonormal_matrix():
-    bad = np.eye(4)
-    bad[0, 0] = 0.9
-    with pytest.raises(InvalidBasisError, match="orthonormal"):
-        TwoQubitBasis("bell", None, None, bad)
+    # an int beyond the float range overflows its cast
+    with pytest.raises(InvalidBasisError, match="got inf"):
+        generalized_bell(10**400, 0.6)
 
 
 def test_basis_rejects_unknown_kind():
     with pytest.raises(InvalidBasisError, match="kind"):
-        TwoQubitBasis("magic", None, None, np.eye(4))
+        TwoQubitBasis("magic", None, None)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: TwoQubitBasis("gbm", None, None), "real numbers, got None"),
+        (lambda: generalized_bell(None, 0.8), "real numbers, got None"),
+        # a numpy complex would cast to its real part with only a ComplexWarning
+        (lambda: generalized_bell(np.complex64(0.5 + 0.25j), math.sqrt(0.75)), "complex64"),
+        (lambda: TwoQubitBasis("bell", 0.6, 0.8), "no coefficients"),
+        (lambda: generalized_bell(np.array(0.6), 0.8), "ndarray"),
+        (lambda: generalized_bell("0.6", "0.8"), "str"),
+    ],
+    ids=["gbm-none", "generalized-none", "numpy-complex", "bell-with-coefficients", "array", "str"],
+)
+def test_coefficients_that_are_not_real_numbers_are_refused_before_any_cast(build, match):
+    # the suite turns ComplexWarning into an error: a cast would raise that instead
+    cached = measurement._generalized_bell.cache_info().currsize
+    with pytest.raises(InvalidBasisError, match=match):
+        build()
+    assert measurement._generalized_bell.cache_info().currsize == cached
+
+
+def test_a_basis_is_rebuilt_from_its_repr():
+    # the repr names the constructor arguments only, not the derived arrays
+    assert repr(generalized_bell(0.6, 0.8)) == "TwoQubitBasis(kind='gbm', a_p=0.6, b_p=0.8)"
+    for basis in (standard_bell(), generalized_bell(-0.28, 0.96)):
+        rebuilt = eval(repr(basis), {"TwoQubitBasis": TwoQubitBasis})
+        assert rebuilt.blocks.tobytes() == basis.blocks.tobytes()
+
+
+@pytest.mark.parametrize(
+    "a_p, b_p",
+    [(None, None), (0.6, 0.8), (0.8, 0.6), (-0.28, 0.96), (-0.6, -0.8), (H, H),
+     (2e-9, math.sqrt(1.0 - 4e-18))],
+    ids=repr,
+)
+def test_basis_arrays_are_pinned_byte_for_byte(a_p, b_p):
+    # built here from the four row formulas and conj(T) / pref, so that no
+    # other construction of the blocks can move a bit unseen
+    basis = standard_bell() if a_p is None else generalized_bell(a_p, b_p)
+    a, b = (H, H) if a_p is None else (a_p, b_p)
+    t = np.zeros((4, 4), dtype=np.complex128)
+    t[0, 0], t[0, 3] = a, b  # a'|00> + b'|11>
+    t[1, 0], t[1, 3] = b, -a  # b'|00> - a'|11>
+    t[2, 1], t[2, 2] = a, b  # a'|01> + b'|10>
+    t[3, 1], t[3, 2] = b, -a  # b'|01> - a'|10>
+    pref = H if a_p is None else 1.0
+    blocks = np.zeros((2, 2, 4, 2, 2))
+    for i in range(2):
+        for k in range(2):
+            for lam in range(4):
+                for j in range(2):
+                    blocks[i, k, lam, j, k] = (np.conj(t[lam, 2 * i + j]) / pref).real
+    for got, want in ((basis.t_matrix, t), (basis.t_conj, np.conj(t)), (basis.blocks, blocks.reshape(16, 4))):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert basis.pref2 == (0.5 if a_p is None else 1.0)
 
 
 def test_basis_matrix_is_read_only():
@@ -143,9 +197,8 @@ def test_the_smallest_coefficient_above_the_tolerance_is_accepted():
 def test_a_degenerate_basis_is_refused_however_it_is_built():
     with pytest.raises(DegenerateBasisError):
         parse_basis("gbm:1,0")
-    # the degeneracy is read from the coefficients, not from the matrix
     with pytest.raises(DegenerateBasisError):
-        TwoQubitBasis("gbm", 0.0, 1.0, generalized_bell(0.6, 0.8).t_matrix)
+        TwoQubitBasis("gbm", 0.0, 1.0)
 
 
 def test_the_basis_cache_is_bounded():

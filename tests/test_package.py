@@ -1,11 +1,14 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import os
 import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 import telematch
 
@@ -53,6 +56,14 @@ def test_the_protocol_reads_no_degeneracy_of_a_basis():
     found = [name for name in ("DegenerateBasisError", "DEGENERATE_TOL", ".a_p", ".b_p")
              if name in source]
     assert found == []
+
+
+def test_a_basis_is_built_from_its_kind_and_coefficients_alone():
+    # its matrix is derived: an argument for it could again disagree with the coefficients
+    names = [f.name for f in dataclasses.fields(telematch.TwoQubitBasis) if f.init]
+    assert names == ["kind", "a_p", "b_p"]
+    with pytest.raises(TypeError):
+        telematch.TwoQubitBasis("bell", None, None, telematch.standard_bell().t_matrix)
 
 
 def test_the_package_names_no_extended_precision_type():

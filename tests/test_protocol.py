@@ -24,7 +24,6 @@ from telematch.channel import (
 from telematch.measurement import (
     DegenerateBasisError,
     InvalidBasisError,
-    TwoQubitBasis,
     generalized_bell,
     parse_basis,
     project_all,
@@ -1109,14 +1108,6 @@ def test_real_stacks_stay_real_only_on_a_real_basis():
     assert protocol._diagonal(0.8, 0.6).dtype == b_axis_channels([0.6]).dtype == np.float64
     assert protocol._diagonal(0.8, 0.6j).dtype == np.complex128
     assert standard_bell().blocks.dtype == generalized_bell(-0.6, 0.8).blocks.dtype == np.float64
-    # the Bell rows times phases: a complex basis, on which a real stack takes the complex product
-    t = standard_bell().t_matrix * np.exp(1j * np.array([0.3, 1.1, -0.7, 2.0]))[:, None]
-    basis = TwoQubitBasis("bell", None, None, t)
-    assert basis.blocks.dtype == np.complex128
-    x = b_axis_channels([0.6, 0.3])
-    real, twin = points(x, basis, "max-per-outcome"), points(x.astype(complex), basis, "max-per-outcome")
-    assert real.x.dtype == np.float64 and real.tau.dtype == np.complex128
-    assert np.array_equal(real.tau, twin.tau) and np.array_equal(real.k, twin.k)
     # int and bool stacks are real too: refused here as their float64 twins are
     for stack in (np.eye(2, dtype=int)[None], np.eye(2, dtype=bool)[None]):
         with pytest.raises(ValueError, match="sum of squared moduli is 2.0"):
