@@ -1,9 +1,9 @@
 """Two-qubit measurement bases and outcome projection.
 
-A measurement basis is stored as a 4x4 matrix T whose rows are the four
-basis states written over |00>, |01>, |10>, |11> (first digit = input
-qubit, second digit = sender-side channel qubit). Outcomes are labeled
-lam = 1..4, matching row order.
+A measurement basis is a value, its kind and two real coefficients, with a
+real 4x4 matrix T whose rows are the four basis states written over |00>,
+|01>, |10>, |11> (first digit = input qubit, second digit = sender-side
+channel qubit). Outcomes are labeled lam = 1..4, matching row order.
 
 Each outcome lam induces a 2x2 branch operator sigma_lam on the
 receiver qubit: if X is the channel parameter matrix, then
@@ -46,7 +46,7 @@ class DegenerateBasisError(InvalidBasisError):
     of 0: a valid basis in which some outcome never heralds success."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TwoQubitBasis:
     """Orthonormal two-qubit measurement basis, fixed by kind and coefficients.
 
@@ -54,19 +54,18 @@ class TwoQubitBasis:
     b_p of any numeric type (complex ones only with zero imaginary part),
     stored as floats, finite and with a_p^2 + b_p^2 = 1. A gbm coefficient
     within DEGENERATE_TOL of 0 raises DegenerateBasisError, any other fault
-    InvalidBasisError. Derived and read-only: t_matrix (complex128), the rows
-    of gbm(a_p, b_p), Bell's at a_p = b_p = 1/sqrt(2); t_conj = conj(T), the
-    factor of every projection; pref2 = pref^2, 1/2 for 'bell' and 1 for
-    'gbm'; blocks (see module doc), float64 as every row is real.
+    InvalidBasisError. Bases compare and hash by (kind, a_p, b_p): Bell is not
+    gbm(h, h), whose K has another pref. Derived and read-only: t_matrix
+    (float64), the rows of gbm(a_p, b_p), Bell's at a_p = b_p = 1/sqrt(2);
+    pref2 = pref^2, 1/2 for 'bell' and 1 for 'gbm'; blocks (see module doc).
     """
 
     kind: str
     a_p: float | None = None
     b_p: float | None = None
-    t_matrix: np.ndarray = field(init=False, repr=False)
-    t_conj: np.ndarray = field(init=False, repr=False)
-    pref2: float = field(init=False, repr=False)
-    blocks: np.ndarray = field(init=False, repr=False)
+    t_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    pref2: float = field(init=False, repr=False, compare=False)
+    blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in BASIS_KINDS:
@@ -87,13 +86,14 @@ class TwoQubitBasis:
             object.__setattr__(self, "a_p", a_p)
             object.__setattr__(self, "b_p", b_p)
             pref = 1.0
-        t = _gbm_rows(a_p, b_p)
+        # the rows a'|00> + b'|11>, b'|00> - a'|11>, a'|01> + b'|10>, b'|01> - a'|10>
+        t = np.array([[a_p, 0, 0, b_p], [b_p, 0, 0, -a_p], [0, a_p, b_p, 0], [0, b_p, -a_p, 0]])
         # blocks[i, k, lam, j, k] = T[lam, 2i + j] / pref: +-1 or 0 for Bell
-        g = t.real.reshape(4, 2, 2).transpose(1, 0, 2) / pref
+        g = t.reshape(4, 2, 2).transpose(1, 0, 2) / pref
         blocks = np.zeros((2, 2, 4, 2, 2))
         for k in range(2):
             blocks[:, k, :, :, k] = g
-        for name, value in (("t_matrix", t), ("t_conj", t.conj()), ("blocks", blocks.reshape(16, 4))):
+        for name, value in (("t_matrix", t), ("blocks", blocks.reshape(16, 4))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "pref2", 0.5 if self.kind == "bell" else 1.0)
@@ -117,8 +117,7 @@ def _coefficient(z) -> float:
 def standard_bell() -> TwoQubitBasis:
     """The four Bell states, rows ordered (phi+, phi-, psi+, psi-).
 
-    Built on the first call; every call returns that one instance, so
-    reports on it share their resolved points (bases compare by identity).
+    Built on the first call; every call returns that one instance.
     """
     return TwoQubitBasis("bell")
 
@@ -128,32 +127,9 @@ def generalized_bell(a_p: float, b_p: float) -> TwoQubitBasis:
 
     Rows are a_p|00> + b_p|11>, b_p|00> - a_p|11>, a_p|01> + b_p|10>,
     b_p|01> - a_p|10>; `TwoQubitBasis` checks the coefficients. Calls with
-    equal coefficients return one instance while it stays among the 32 most
-    recently used; a refused pair is not stored.
+    equal coefficients return equal bases.
     """
-    try:
-        return _generalized_bell(a_p, b_p)
-    except TypeError:  # an unhashable argument, which no number is: refused below
-        return TwoQubitBasis("gbm", a_p, b_p)
-
-
-# About 2 kB per basis.
-@functools.lru_cache(maxsize=32)
-def _generalized_bell(a_p, b_p) -> TwoQubitBasis:
     return TwoQubitBasis("gbm", a_p, b_p)
-
-
-def _gbm_rows(a_p: float, b_p: float) -> np.ndarray:
-    """The rows of gbm(a', b'); Bell's are those at a' = b' = 1/sqrt(2)."""
-    return np.array(
-        [
-            [a_p, 0, 0, b_p],
-            [b_p, 0, 0, -a_p],
-            [0, a_p, b_p, 0],
-            [0, b_p, -a_p, 0],
-        ],
-        dtype=np.complex128,
-    )
 
 
 def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -161,12 +137,12 @@ def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, n
 
     states[m, q3, n] is the amplitude of point n on |m>|q3>, m = 2 q1 + q2
     the measured pair (q1 the input qubit, q2 the sender's channel qubit, q3
-    the receiver qubit), shape (4, 2, N). One 2-D product
-    conj(T) @ states gives the unnormalized receiver states over (outcome,
-    q3, point), shape (4, 2, N); their squared norms, shape (4, N), are the
-    outcome probabilities. Inputs are not validated.
+    the receiver qubit), shape (4, 2, N). One 2-D product conj(T) @ states,
+    T @ states as every basis is real, gives the unnormalized receiver
+    states over (outcome, q3, point), shape (4, 2, N); their squared norms,
+    shape (4, N), are the outcome probabilities. Inputs are not validated.
     """
-    receivers = (basis.t_conj @ states.reshape(4, -1)).reshape(states.shape)
+    receivers = (basis.t_matrix @ states.reshape(4, -1)).reshape(states.shape)
     sq = _squared_moduli(receivers)
     return sq[:, 0] + sq[:, 1], receivers
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,6 +75,17 @@ def _check_mode(mode: str, k) -> None:
         raise ValueError(f"policy {mode!r} takes no K value")
 
 
+def _real_k(k) -> float:
+    """K as a float. Anything but a real number raises ValueError before any cast could
+    fail, warn or drop an imaginary part; an int beyond the float range reads as inf."""
+    if not isinstance(k, numbers.Number) or k.imag != 0:
+        raise ValueError(f"K must be a real number, got {k} of type {type(k).__name__}")
+    try:
+        return float(k.real)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class KPolicy:
     """How to choose the matching parameter K.
@@ -90,7 +102,7 @@ class KPolicy:
     def __post_init__(self) -> None:
         _check_mode(self.mode, self.k)
         if self.mode == "fixed":
-            k = float(self.k)
+            k = _real_k(self.k)
             if not math.isfinite(k) or k <= 0.0:
                 raise KOutOfRangeError(f"K must be a finite positive number, got {k!r}")
             object.__setattr__(self, "k", k)
@@ -263,7 +275,7 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     [[M, S], [S, -M^dag]]: S = diag(sqrt(1 - K^2 |c1|^2), sqrt(1 - K^2 |c0|^2)),
     clamped at 0, is both sqrt(I - M M^dag) and sqrt(I - M^dag M).
     """
-    k = float(k)
+    k = _real_k(k)
     bound = float(k_bound(c0, c1))
     if not math.isfinite(k) or k <= 0.0 or k > bound * (1.0 + K_BOUND_RTOL):
         raise KOutOfRangeError(
@@ -287,8 +299,8 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     """Validate a batch of pure channels and resolve K.
 
     x is an (N, 2, 2) stack of amplitudes x[n, j, k] = x_jk, j the
-    sender's qubit; 'fixed' takes k as one number or one per point, and
-    another shape of either raises ValueError. A real stack (float, int
+    sender's qubit; 'fixed' takes k as one real number or one per point,
+    and anything else raises ValueError. A real stack (float, int
     or bool) is kept in float64, and so are its tau, K bounds and filters
     until the input state enters a kernel: bit for bit the numbers of the
     same stack with zero imaginary parts.
@@ -333,7 +345,10 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
         fails = unentangled if unnormalized is None else unentangled | unnormalized
         ks = np.empty_like(bounds)
         if mode == "fixed":
-            ks[:] = np.asarray(k, dtype=float)[..., None]
+            k = np.asarray(k)
+            if k.dtype.kind not in "biufc" or np.count_nonzero(k.imag):
+                k = np.vectorize(_real_k, otypes=[float])(k)  # raises for what is not real
+            ks[:] = k.real[..., None]
             # K that is not positive, nan, or above some outcome's bound
             fits = (ks > 0.0) & (ks <= bounds * (1.0 + K_BOUND_RTOL))
             fails = fails | ~np.logical_and.reduce(fits, axis=1)
@@ -368,9 +383,9 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
 def _report_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k) -> Points:
     """`points` for one channel object of the scalar API, memoized.
 
-    Keyed by the channel's value, the basis object (bases compare by
-    identity) and the policy's mode and K. The arrays are read-only, as
-    every caller shares them. A refused point raises and is not stored.
+    Keyed by the values of the channel and the basis and the policy's
+    mode and K. The arrays are read-only, as every caller shares them. A
+    refused point raises and is not stored.
     """
     # the object checked its amplitudes when it was made
     pts = _points(ch.vector().reshape(1, 2, 2), basis, mode, k)

@@ -118,10 +118,8 @@ def test_basis_rejects_unknown_kind():
 )
 def test_coefficients_that_are_not_real_numbers_are_refused_before_any_cast(build, match):
     # the suite turns ComplexWarning into an error: a cast would raise that instead
-    cached = measurement._generalized_bell.cache_info().currsize
     with pytest.raises(InvalidBasisError, match=match):
         build()
-    assert measurement._generalized_bell.cache_info().currsize == cached
 
 
 def test_a_basis_is_rebuilt_from_its_repr():
@@ -129,7 +127,23 @@ def test_a_basis_is_rebuilt_from_its_repr():
     assert repr(generalized_bell(0.6, 0.8)) == "TwoQubitBasis(kind='gbm', a_p=0.6, b_p=0.8)"
     for basis in (standard_bell(), generalized_bell(-0.28, 0.96)):
         rebuilt = eval(repr(basis), {"TwoQubitBasis": TwoQubitBasis})
+        assert rebuilt == basis
         assert rebuilt.blocks.tobytes() == basis.blocks.tobytes()
+
+
+def test_bases_compare_and_hash_by_kind_and_coefficients():
+    gbm = TwoQubitBasis("gbm", 0.6, 0.8)
+    same = generalized_bell(0.6 + 0j, np.float64(0.8))
+    assert same == gbm and hash(same) == hash(gbm)
+    assert len({gbm, same, standard_bell(), TwoQubitBasis("bell")}) == 2
+
+
+def test_bell_differs_from_the_balanced_generalized_basis():
+    # equal rows, but Bell's K is measured with pref = 1/sqrt(2) and gbm's with 1
+    bell, gbm = TwoQubitBasis("bell"), TwoQubitBasis("gbm", H, H)
+    assert bell.t_matrix.tobytes() == gbm.t_matrix.tobytes()
+    assert bell == standard_bell() != generalized_bell(H, H) == gbm
+    assert len({bell, gbm, standard_bell(), generalized_bell(H, H)}) == 2
 
 
 @pytest.mark.parametrize(
@@ -143,7 +157,7 @@ def test_basis_arrays_are_pinned_byte_for_byte(a_p, b_p):
     # other construction of the blocks can move a bit unseen
     basis = standard_bell() if a_p is None else generalized_bell(a_p, b_p)
     a, b = (H, H) if a_p is None else (a_p, b_p)
-    t = np.zeros((4, 4), dtype=np.complex128)
+    t = np.zeros((4, 4))
     t[0, 0], t[0, 3] = a, b  # a'|00> + b'|11>
     t[1, 0], t[1, 3] = b, -a  # b'|00> - a'|11>
     t[2, 1], t[2, 2] = a, b  # a'|01> + b'|10>
@@ -154,8 +168,8 @@ def test_basis_arrays_are_pinned_byte_for_byte(a_p, b_p):
         for k in range(2):
             for lam in range(4):
                 for j in range(2):
-                    blocks[i, k, lam, j, k] = (np.conj(t[lam, 2 * i + j]) / pref).real
-    for got, want in ((basis.t_matrix, t), (basis.t_conj, np.conj(t)), (basis.blocks, blocks.reshape(16, 4))):
+                    blocks[i, k, lam, j, k] = np.conj(t[lam, 2 * i + j]) / pref
+    for got, want in ((basis.t_matrix, t), (basis.blocks, blocks.reshape(16, 4))):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
     assert basis.pref2 == (0.5 if a_p is None else 1.0)
@@ -171,10 +185,10 @@ def test_each_basis_is_built_once():
     assert standard_bell() is standard_bell()
     assert parse_basis(" Bell ") is standard_bell()
     gbm = generalized_bell(0.6, 0.8)
-    assert generalized_bell(0.6, 0.8) is gbm
-    assert parse_basis("gbm:0.6,0.8") is gbm
-    assert generalized_bell(0.6 + 0j, np.float64(0.8)) is gbm
-    assert generalized_bell(0.8, 0.6) is not gbm
+    assert generalized_bell(0.6, 0.8) == gbm
+    assert parse_basis("gbm:0.6,0.8") == gbm
+    assert generalized_bell(0.6 + 0j, np.float64(0.8)) == gbm
+    assert generalized_bell(0.8, 0.6) != gbm
 
 
 @pytest.mark.parametrize(
@@ -182,10 +196,8 @@ def test_each_basis_is_built_once():
     [(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (1.0, -0.0), (1e-9, math.sqrt(1.0 - 1e-18))],
 )
 def test_a_degenerate_basis_is_refused_when_built(a_p, b_p):
-    cached = measurement._generalized_bell.cache_info().currsize
     with pytest.raises(DegenerateBasisError, match="too close to zero"):
         generalized_bell(a_p, b_p)
-    assert measurement._generalized_bell.cache_info().currsize == cached
 
 
 def test_the_smallest_coefficient_above_the_tolerance_is_accepted():
@@ -201,22 +213,11 @@ def test_a_degenerate_basis_is_refused_however_it_is_built():
         TwoQubitBasis("gbm", 0.0, 1.0)
 
 
-def test_the_basis_cache_is_bounded():
-    maxsize = measurement._generalized_bell.cache_info().maxsize
-    first = generalized_bell(0.6, 0.8)
-    for t in np.linspace(0.1, 1.4, maxsize).tolist():
-        generalized_bell(math.cos(t), math.sin(t))
-    rebuilt = generalized_bell(0.6, 0.8)
-    assert rebuilt is not first
-    assert rebuilt.t_matrix.tobytes() == first.t_matrix.tobytes()
-
-
 @pytest.mark.parametrize("basis_factory", [standard_bell, lambda: generalized_bell(0.6, 0.8)])
 def test_shared_basis_arrays_are_read_only(basis_factory):
     basis = basis_factory()
-    assert np.array_equal(basis.t_conj, basis.t_matrix.conj())
-    assert basis.blocks.dtype == np.float64
-    for name in ("t_matrix", "t_conj", "blocks"):
+    assert basis.t_matrix.dtype == basis.blocks.dtype == np.float64
+    for name in ("t_matrix", "blocks"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(basis, name)[0, 0] = 2.0
 

@@ -51,7 +51,7 @@ def test_the_cli_imports_no_private_name_of_the_package():
 
 def test_the_protocol_reads_no_degeneracy_of_a_basis():
     # a basis refuses its own degeneracy when it is built; the kernels read
-    # only its blocks, t_conj and pref2
+    # only its blocks, t_matrix (through project_all) and pref2
     source = (PACKAGE / "protocol.py").read_text()
     found = [name for name in ("DegenerateBasisError", "DEGENERATE_TOL", ".a_p", ".b_p")
              if name in source]
@@ -91,17 +91,17 @@ def test_the_readme_python_blocks_run_in_order():
 
 def test_importing_the_cli_builds_nothing_a_command_needs():
     # A cold start pays for imports alone: the CSV writer's tables, the
-    # argument parser and the bases are built on first use.
+    # argument parser and the Bell basis are built on first use.
     code = (
         "import sys, telematch.cli as cli, telematch.measurement as m\n"
         "print('telematch.csvtext' in sys.modules, cli._parser.cache_info().currsize,\n"
-        "      m.standard_bell.cache_info().currsize, m._generalized_bell.cache_info().currsize)\n"
+        "      m.standard_bell.cache_info().currsize)\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    assert done.stdout.split() == ["False", "0", "0", "0"]
+    assert done.stdout.split() == ["False", "0", "0"]
 
 
 def test_importing_the_csv_writer_loads_nothing_beyond_numpy_and_telematch():

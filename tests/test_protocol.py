@@ -24,6 +24,7 @@ from telematch.channel import (
 from telematch.measurement import (
     DegenerateBasisError,
     InvalidBasisError,
+    TwoQubitBasis,
     generalized_bell,
     parse_basis,
     project_all,
@@ -137,6 +138,59 @@ def test_kpolicy_message_shows_plain_numbers():
         KPolicy.fixed(np.float64(-1))
     assert "np." not in str(info.value)
     assert "got -1.0" in str(info.value)
+
+
+# Each entry point of a K, called with one K: the suite turns ComplexWarning into
+# an error, so a cast that drops an imaginary part would raise that instead.
+K_ENTRY_POINTS = {
+    "kpolicy": KPolicy.fixed,
+    "points": lambda k: points(diag_stack([0.8], [0.6]), standard_bell(), "fixed", k).k[0, 0],
+    "matched-unitary": lambda k: matched_unitary(0.8, 0.6, k),
+}
+
+
+@pytest.mark.parametrize("enter", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
+@pytest.mark.parametrize("k", [np.complex128(1 + 1j), 1 + 1j, 1e-300j, "1", b"1"], ids=repr)
+def test_a_k_that_is_not_a_real_number_is_refused_before_any_cast(enter, k):
+    with pytest.raises(ValueError, match="must be a real number") as info:
+        enter(k)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("k", [np.array([1 + 1j]), np.array(["1"]), np.array([None])], ids=repr)
+def test_points_refuse_a_k_array_that_is_not_real_numbers(k):
+    with pytest.raises(ValueError, match="must be a real number") as info:
+        points(diag_stack([0.8], [0.6]), standard_bell(), "fixed", k)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("k", [np.array([1.0]), np.array(1.0), [1.0]], ids=repr)
+def test_kpolicy_refuses_an_array_k(k):
+    with pytest.raises(ValueError, match="must be a real number") as info:
+        KPolicy.fixed(k)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("enter", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
+def test_a_complex_k_with_zero_imaginary_part_is_its_real_part(enter):
+    for k in (1 + 0j, np.complex128(1.0), np.complex64(1.0)):
+        assert repr(enter(k)) == repr(enter(1.0))
+
+
+def test_a_complex_k_array_with_zero_imaginary_parts_is_its_real_part():
+    x = diag_stack([0.8, 0.6], [0.6, 0.8])
+    assert points(x, standard_bell(), "fixed", np.array([1 + 0j, 0.5])).k.tobytes() == \
+        points(x, standard_bell(), "fixed", np.array([1.0, 0.5])).k.tobytes()
+
+
+@pytest.mark.parametrize("enter", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
+@pytest.mark.parametrize("k", [10**400, -(10**400)], ids=["huge", "-huge"])
+def test_an_int_beyond_the_float_range_is_out_of_range(enter, k):
+    # read as +-inf, not a raw OverflowError from its cast
+    with pytest.raises(KOutOfRangeError):
+        enter(k)
+    with pytest.raises(KOutOfRangeError):
+        points(diag_stack([0.8, 0.6], [0.6, 0.8]), standard_bell(), "fixed", np.array([1, k], dtype=object))
 
 
 def test_kpolicy_mode_validation():
@@ -1223,6 +1277,27 @@ def test_kernel_dilation_is_the_full_dilation_on_an_ancilla_in_zero(case):
         assert abs(abs(np.vdot(inp.vector(), out[:2])) ** 2 / succ_w - 1.0) <= 1e-12
 
 
+@given(general_cases())
+@settings(max_examples=150)
+def test_a_k_within_the_bound_tolerance_runs_and_one_beyond_it_is_refused(case):
+    # K at the largest common bound times 1 + 0.9 K_BOUND_RTOL, just over the smallest
+    # outcome bound, whose filter's s_max then exceeds 1 by about 1e-12. The kernels agree
+    # to a relative 1e-13, and the fidelity is 1 to 2e-15 (a scan of 20000 draws weighted
+    # to the strategy's edges read at most 3.7e-14 and 1.1e-15)
+    x, _, basis, _, _, inp = case
+    k_max = points(x[None], basis, "max-global").k[0, 0]
+    pts = points(x[None], basis, "fixed", k_max * (1.0 + 0.9 * protocol.K_BOUND_RTOL))
+    ana, sim = analytic_batch(inp, pts), simulate_batch(inp, pts)
+    for a, s in zip(ana, sim):
+        assert np.all(np.abs(a - s) <= 1e-13 * np.abs(a))
+    assert np.all(np.abs(np.concatenate([ana.fidelity, sim.fidelity]) - 1.0) <= 2e-15)
+    beyond = k_max * (1.0 + 2.0 * protocol.K_BOUND_RTOL)
+    with pytest.raises(KOutOfRangeError):
+        points(x[None], basis, "fixed", beyond)
+    with pytest.raises(KOutOfRangeError):
+        analytic_report(inp, _channel(x), basis, KPolicy.fixed(beyond))
+
+
 def test_gbm_max_per_outcome_total_closed_form_example():
     # diag(.8, .6) with gbm(.9, sqrt(.19)): 2 [min(.72, .6 sqrt .19)^2 + min(.8 sqrt .19, .54)^2]
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
@@ -1403,6 +1478,17 @@ def test_a_report_pair_on_bases_named_twice_resolves_its_point_once():
         simulate_report(inp, ch, basis(), policy)
         info = POINT_MEMO.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+
+
+@pytest.mark.parametrize("first", [analytic_report, simulate_report])
+def test_equal_bases_built_apart_share_one_point(first):
+    # the memo keys a basis by its value, however each was built
+    inp, ch, policy = PureInputState(0.6, 0.8), TwoQubitChannel.diagonal(0.8, 0.6), KPolicy.max_global()
+    second = simulate_report if first is analytic_report else analytic_report
+    first(inp, ch, TwoQubitBasis("gbm", 0.6, 0.8), policy)
+    second(inp, ch, generalized_bell(0.6 + 0j, np.float64(0.8)), policy)
+    info = POINT_MEMO.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 # --------------------------------------------------------- report types
