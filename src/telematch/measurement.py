@@ -137,12 +137,15 @@ def project_all(states: np.ndarray, basis: TwoQubitBasis) -> tuple[np.ndarray, n
 
     states[m, q3, n] is the amplitude of point n on |m>|q3>, m = 2 q1 + q2
     the measured pair (q1 the input qubit, q2 the sender's channel qubit, q3
-    the receiver qubit), shape (4, 2, N). One 2-D product conj(T) @ states,
-    T @ states as every basis is real, gives the unnormalized receiver
-    states over (outcome, q3, point), shape (4, 2, N); their squared norms,
-    shape (4, N), are the outcome probabilities. Inputs are not validated.
+    the receiver qubit), shape (4, 2, N), complex128 with a contiguous last
+    axis. One 2-D product conj(T) @ states, T @ states as every basis is real,
+    gives the unnormalized receiver states over (outcome, q3, point), shape
+    (4, 2, N): one float64 product over the interleaved real and imaginary
+    parts, so T is never cast to complex. Their squared norms, shape (4, N),
+    are the outcome probabilities. Inputs are not validated.
     """
-    receivers = (basis.t_matrix @ states.reshape(4, -1)).reshape(states.shape)
+    parts = basis.t_matrix @ states.reshape(4, -1).view(np.float64)
+    receivers = parts.view(np.complex128).reshape(states.shape)
     sq = _squared_moduli(receivers)
     return sq[:, 0] + sq[:, 1], receivers
 

@@ -328,10 +328,12 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
     the normalization check, None for amplitudes known to be normalized."""
     _check_mode(mode, k)
     n = x.shape[0]
-    if mode == "fixed" and np.shape(k) not in ((), (n,)):
-        raise ValueError(
-            f"fixed K must be one number or one per point, got shape {np.shape(k)} for {n} points"
-        )
+    if mode == "fixed":
+        k = np.asarray(k)
+        if k.shape not in ((), (n,)):
+            raise ValueError(
+                f"fixed K must be one number or one per point, got shape {k.shape} for {n} points"
+            )
     # Every point is computed and checked, invalid ones included, whose
     # arithmetic may overflow or produce nan; only the first failure counts.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -343,16 +345,19 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
         bounds = _k_bounds(tau)
         unentangled = _concurrences(x) <= NORMALIZATION_TOL
         fails = unentangled if unnormalized is None else unentangled | unnormalized
-        ks = np.empty_like(bounds)
         if mode == "fixed":
-            k = np.asarray(k)
-            if k.dtype.kind not in "biufc" or np.count_nonzero(k.imag):
+            if k.dtype.kind == "c" and not np.count_nonzero(k.imag):
+                k = k.real
+            if k.dtype.kind not in "biuf":
                 k = np.vectorize(_real_k, otypes=[float])(k)  # raises for what is not real
-            ks[:] = k.real[..., None]
+            ks = np.empty_like(bounds)
+            ks[:] = k[..., None]
             # K that is not positive, nan, or above some outcome's bound
             fits = (ks > 0.0) & (ks <= bounds * (1.0 + K_BOUND_RTOL))
-            fails = fails | ~np.logical_and.reduce(fits, axis=1)
+            if np.count_nonzero(fits) != fits.size:  # reduce per point only if some K fails
+                fails = fails | ~np.logical_and.reduce(fits, axis=1)
         elif mode == "max-global":
+            ks = np.empty_like(bounds)
             ks[:] = np.minimum.reduce(bounds, axis=1)[:, None]
         else:
             ks = bounds

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -144,9 +145,15 @@ def test_kpolicy_message_shows_plain_numbers():
 # an error, so a cast that drops an imaginary part would raise that instead.
 K_ENTRY_POINTS = {
     "kpolicy": KPolicy.fixed,
-    "points": lambda k: points(diag_stack([0.8], [0.6]), standard_bell(), "fixed", k).k[0, 0],
+    "points": lambda k: points(diag_stack([0.8], [0.6]), standard_bell(), "fixed", k).k,
     "matched-unitary": lambda k: matched_unitary(0.8, 0.6, k),
 }
+
+# Spellings of K = 1 that every entry point takes, and those only `points` takes:
+# a 0-d array, a list of one K per point, and object arrays.
+K_ONE_SPELLINGS = [1 + 0j, np.complex128(1.0), np.complex64(1.0), np.float64(1.0), 1]
+K_ONE_ARRAY_SPELLINGS = [np.array(1.0), np.array(1 + 0j), [1.0], [1], [1 + 0j],
+                         np.array([1.0], dtype=object), np.array([np.float64(1.0)], dtype=object)]
 
 
 @pytest.mark.parametrize("enter", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
@@ -157,7 +164,9 @@ def test_a_k_that_is_not_a_real_number_is_refused_before_any_cast(enter, k):
     assert type(info.value) is ValueError
 
 
-@pytest.mark.parametrize("k", [np.array([1 + 1j]), np.array(["1"]), np.array([None])], ids=repr)
+@pytest.mark.parametrize("k", [np.array([1 + 1j]), np.array(["1"]), np.array([None]), np.array(1 + 1j),
+                               [1 + 1j], ["1"], np.array([1j], dtype=object),
+                               np.array(["1"], dtype=object)], ids=repr)
 def test_points_refuse_a_k_array_that_is_not_real_numbers(k):
     with pytest.raises(ValueError, match="must be a real number") as info:
         points(diag_stack([0.8], [0.6]), standard_bell(), "fixed", k)
@@ -173,8 +182,13 @@ def test_kpolicy_refuses_an_array_k(k):
 
 @pytest.mark.parametrize("enter", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
 def test_a_complex_k_with_zero_imaginary_part_is_its_real_part(enter):
-    for k in (1 + 0j, np.complex128(1.0), np.complex64(1.0)):
-        assert repr(enter(k)) == repr(enter(1.0))
+    want = enter(1.0)
+    arrays = K_ONE_ARRAY_SPELLINGS if enter is K_ENTRY_POINTS["points"] else []
+    for k in K_ONE_SPELLINGS + arrays:
+        got = enter(k)
+        assert repr(got) == repr(want)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_a_complex_k_array_with_zero_imaginary_parts_is_its_real_part():
@@ -296,6 +310,21 @@ def test_the_simulated_route_squares_moduli_in_plain_double():
         p_alice, receivers = project_all(random_complex((4, 2, 5000)), basis)
         expected = [list(map(reference, *r)) for r in receivers.tolist()]
         assert p_alice.tolist() == expected
+        # every batch size: the receivers are T @ states to a rounding of each
+        # part's two-term sum (a BLAS product may fuse its multiply-adds)
+        states = random_complex((4, 2, 2048))
+        t = basis.t_matrix
+        for n in range(1, 2049):
+            s = np.ascontiguousarray(states[..., :n])
+            p_alice, receivers = project_all(s, basis)
+            assert receivers.shape == (4, 2, n) and p_alice.shape == (4, n)
+            for part in ("real", "imag"):
+                a, b = getattr(s, part).reshape(4, -1), getattr(receivers, part).reshape(4, -1)
+                terms = t[:, :, None] * a  # terms[lam, m, .] = T[lam, m] a[m, .], summed in order
+                assert np.all(np.abs(b - terms.sum(axis=1)) <= 4.5e-16 * np.abs(terms).sum(axis=1))
+            x, y = receivers.real, receivers.imag
+            assert p_alice.tobytes() == ((x[:, 0] * x[:, 0] + y[:, 0] * y[:, 0])
+                                         + (x[:, 1] * x[:, 1] + y[:, 1] * y[:, 1])).tobytes()
 
 
 # ------------------------------------------------- branch coefficients
@@ -1022,10 +1051,12 @@ def test_points_refuse_a_stack_that_is_not_n_by_2_by_2():
 
 def test_points_refuse_a_k_array_of_another_length():
     # formerly numpy's "operands could not be broadcast together with shapes (2,) (3,)"
-    with pytest.raises(ValueError, match=r"got shape \(3,\) for 2 points"):
-        points(diag_stack([0.8, 0.6], [0.6, 0.8]), standard_bell(), "fixed", np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError, match=r"got shape \(2, 1\) for 2 points"):
-        points(diag_stack([0.8, 0.6], [0.6, 0.8]), standard_bell(), "fixed", np.ones((2, 1)))
+    for k, shape in ((np.array([1.0, 1.0, 1.0]), "(3,)"), (np.ones((2, 1)), "(2, 1)"),
+                     ([1.0, 1.0, 1.0], "(3,)"), ([1, 1, 1], "(3,)"), ([np.float64(1.0)] * 3, "(3,)"),
+                     (np.array([1.0] * 3, dtype=object), "(3,)"), ([[1.0], [1.0]], "(2, 1)"),
+                     (np.array([[1.0, 1.0]], dtype=object), "(1, 2)")):
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(shape)} for 2 points"):
+            points(diag_stack([0.8, 0.6], [0.6, 0.8]), standard_bell(), "fixed", k)
 
 
 def test_k_bound_is_the_diagonal_case_of_the_general_bound():
@@ -1296,6 +1327,69 @@ def test_a_k_within_the_bound_tolerance_runs_and_one_beyond_it_is_refused(case):
         points(x[None], basis, "fixed", beyond)
     with pytest.raises(KOutOfRangeError):
         analytic_report(inp, _channel(x), basis, KPolicy.fixed(beyond))
+
+
+FIXED_K_POINT_KINDS = ("valid", "not-finite-positive", "tolerated", "beyond", "unentangled")
+
+
+@st.composite
+def fixed_k_batches(draw):
+    """A batch of 1 to 6 points and one fixed K per point, each point of a drawn kind:
+    a valid K below the largest common bound; K <= 0, nan or +-inf; K at a random
+    outcome's bound times 1 + 0.9 or 1 + 2 K_BOUND_RTOL; an unentangled channel,
+    with a positive K or one of those not finite and positive. Returns the
+    amplitude stack, the basis and the K array."""
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    basis = draw(st.sampled_from([standard_bell(), generalized_bell(0.6, 0.8), generalized_bell(-0.28, 0.96)]))
+    kinds = draw(st.lists(st.sampled_from(FIXED_K_POINT_KINDS), min_size=1, max_size=6))
+    x, k = [], []
+    for kind in kinds:
+        if kind == "unentangled":
+            u, v = random_unitary(gen)[:, 0], random_unitary(gen)[:, 0]
+            x.append(np.outer(u, v))
+            k.append(draw(st.sampled_from([0.5, 1.0, 3.0, 0.0, -1.0, math.nan, math.inf])))
+            continue
+        t = draw(st.floats(min_value=0.05, max_value=math.pi / 4))
+        x.append(random_unitary(gen) @ np.diag([math.cos(t), math.sin(t)]) @ random_unitary(gen).T)
+        bounds = points(x[-1][None], basis, "max-per-outcome").k[0]
+        if kind == "valid":
+            k.append(draw(st.floats(min_value=0.05, max_value=1.0)) * bounds.min())
+        elif kind == "not-finite-positive":
+            k.append(draw(st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf])))
+        else:
+            rtol = (0.9 if kind == "tolerated" else 2.0) * protocol.K_BOUND_RTOL
+            k.append(bounds[draw(st.integers(min_value=0, max_value=3))] * (1.0 + rtol))
+    return np.array(x), basis, np.array(k)
+
+
+@given(fixed_k_batches())
+@settings(max_examples=200)
+def test_a_fixed_k_batch_raises_for_its_first_failing_point_or_runs_at_that_k(case):
+    # per point, in order: a K that is not finite and positive, an unentangled
+    # channel, then the first outcome whose bound (times 1 + K_BOUND_RTOL) K exceeds
+    x, basis, k = case
+    expected = None
+    for i in range(len(k)):
+        if not (math.isfinite(k[i]) and k[i] > 0.0):
+            expected = KOutOfRangeError, f"K must be a finite positive number, got {float(k[i])!r}"
+        elif 2.0 * abs(x[i, 0, 0] * x[i, 1, 1] - x[i, 0, 1] * x[i, 1, 0]) <= 1e-9:
+            expected = UnteleportableChannelError, "channel carries no entanglement; nothing can be teleported"
+        else:
+            bounds = points(x[i][None], basis, "max-per-outcome").k[0]
+            over = [lam0 for lam0 in range(4) if k[i] > bounds[lam0] * (1.0 + protocol.K_BOUND_RTOL)]
+            if over:
+                expected = KOutOfRangeError, (
+                    f"K={float(k[i])!r} exceeds the bound {float(bounds[over[0]])!r} of outcome {over[0] + 1}"
+                )
+        if expected:
+            break
+    if expected:
+        with pytest.raises(expected[0]) as info:
+            points(x, basis, "fixed", k)
+        assert type(info.value) is expected[0] and str(info.value) == expected[1]
+    else:
+        pts = points(x, basis, "fixed", k)
+        assert pts.k.dtype == np.float64 and pts.k.tobytes() == np.repeat(k, 4).tobytes()
 
 
 def test_gbm_max_per_outcome_total_closed_form_example():
