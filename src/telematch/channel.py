@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,23 @@ class ChannelClass(enum.Enum):
         return self.value
 
 
+def _number(z, error: type[ValueError], message: str, real: bool = True):
+    """z as a float, or a complex where real is False: the one rule for what counts
+    as a number. A bool, what `numbers.Number` does not take (numpy's bool_ too) and,
+    where real, a non-zero imaginary part raise error(message) before any cast could
+    fail, warn or drop an imaginary part; an int beyond the float range reads as inf."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Number) or (real and z.imag != 0):
+        raise error(f"{message}, got {z} of type {type(z).__name__}")
+    try:
+        return float(z.real) if real else complex(z)
+    except OverflowError:
+        return math.inf
+
+
 def _coerce_amplitudes(obj, names) -> None:
     total = 0.0
     for name in names:
-        z = complex(getattr(obj, name))
+        z = _number(getattr(obj, name), ValueError, f"amplitude {name} must be a number", real=False)
         if not (np.isfinite(z.real) and np.isfinite(z.imag)):
             raise ValueError(f"amplitude {name} must be finite")
         object.__setattr__(obj, name, z)

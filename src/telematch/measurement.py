@@ -22,12 +22,11 @@ give blocks @ A.reshape(4) = tau_lam[k, i] over (i, k, lam).
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SQRT2, parse_complex
+from .channel import SQRT2, _number, parse_complex
 
 BASIS_KINDS = ("bell", "gbm")
 ORTHONORMALITY_TOL = 1e-9
@@ -51,7 +50,7 @@ class TwoQubitBasis:
     """Orthonormal two-qubit measurement basis, fixed by kind and coefficients.
 
     kind is 'bell', which takes no coefficients, or 'gbm' with real a_p and
-    b_p of any numeric type (complex ones only with zero imaginary part),
+    b_p, numbers but no bools (complex ones only with zero imaginary part),
     stored as floats, finite and with a_p^2 + b_p^2 = 1. A gbm coefficient
     within DEGENERATE_TOL of 0 raises DegenerateBasisError, any other fault
     InvalidBasisError. Bases compare and hash by (kind, a_p, b_p): Bell is not
@@ -75,7 +74,8 @@ class TwoQubitBasis:
                 raise InvalidBasisError("the Bell basis takes no coefficients")
             a_p = b_p = pref = 1.0 / SQRT2
         else:
-            a_p, b_p = _coefficient(self.a_p), _coefficient(self.b_p)
+            a_p, b_p = (_number(z, InvalidBasisError, "basis coefficients must be real numbers")
+                        for z in (self.a_p, self.b_p))
             norm2 = a_p * a_p + b_p * b_p
             if not abs(norm2 - 1.0) <= ORTHONORMALITY_TOL:  # nan and inf fail too
                 raise InvalidBasisError(f"basis coefficients must satisfy a'^2 + b'^2 = 1, got {norm2!r}")
@@ -97,20 +97,6 @@ class TwoQubitBasis:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "pref2", 0.5 if self.kind == "bell" else 1.0)
-
-
-def _coefficient(z) -> float:
-    """A gbm coefficient as a float. Anything but a number, and a complex
-    number with a non-zero imaginary part, raises InvalidBasisError before
-    any cast could fail, warn or drop the imaginary part."""
-    if not isinstance(z, numbers.Number) or z.imag != 0:
-        raise InvalidBasisError(
-            f"basis coefficients must be real numbers, got {z} of type {type(z).__name__}"
-        )
-    try:
-        return float(z.real)
-    except OverflowError:  # an int or Fraction beyond the float range: not normalized
-        return float("inf")
 
 
 @functools.cache

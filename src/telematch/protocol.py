@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,6 +41,7 @@ from .channel import (
     UnteleportableChannelError,
     _concurrences,
     _gram,
+    _number,
 )
 from .measurement import TwoQubitBasis, _squared_moduli, project_all, standard_bell
 
@@ -50,6 +50,7 @@ from .measurement import TwoQubitBasis, _squared_moduli, project_all, standard_b
 K_BOUND_RTOL = 1e-12
 
 K_POLICY_MODES = ("fixed", "max-global", "max-per-outcome")
+_K_NOT_REAL = "K must be a real number"
 
 # Most trials monte_carlo takes: numpy draws the counts as int64.
 MAX_TRIALS = 2**63 - 1
@@ -75,15 +76,12 @@ def _check_mode(mode: str, k) -> None:
         raise ValueError(f"policy {mode!r} takes no K value")
 
 
-def _real_k(k) -> float:
-    """K as a float. Anything but a real number raises ValueError before any cast could
-    fail, warn or drop an imaginary part; an int beyond the float range reads as inf."""
-    if not isinstance(k, numbers.Number) or k.imag != 0:
-        raise ValueError(f"K must be a real number, got {k} of type {type(k).__name__}")
-    try:
-        return float(k.real)
-    except OverflowError:
-        return math.inf
+def _positive_k(k) -> float:
+    """K as a float: ValueError if not a real number, KOutOfRangeError if not finite and > 0."""
+    k = _number(k, ValueError, _K_NOT_REAL)
+    if not math.isfinite(k) or k <= 0.0:
+        raise KOutOfRangeError(f"K must be a finite positive number, got {k!r}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -102,10 +100,7 @@ class KPolicy:
     def __post_init__(self) -> None:
         _check_mode(self.mode, self.k)
         if self.mode == "fixed":
-            k = _real_k(self.k)
-            if not math.isfinite(k) or k <= 0.0:
-                raise KOutOfRangeError(f"K must be a finite positive number, got {k!r}")
-            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "k", _positive_k(self.k))
 
     @classmethod
     def fixed(cls, k: float) -> "KPolicy":
@@ -275,9 +270,9 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     [[M, S], [S, -M^dag]]: S = diag(sqrt(1 - K^2 |c1|^2), sqrt(1 - K^2 |c0|^2)),
     clamped at 0, is both sqrt(I - M M^dag) and sqrt(I - M^dag M).
     """
-    k = _real_k(k)
+    k = _positive_k(k)
     bound = float(k_bound(c0, c1))
-    if not math.isfinite(k) or k <= 0.0 or k > bound * (1.0 + K_BOUND_RTOL):
+    if k > bound * (1.0 + K_BOUND_RTOL):
         raise KOutOfRangeError(
             f"K={k!r} outside (0, {bound!r}] for coefficients ({complex(c0)!r}, {complex(c1)!r})"
         )
@@ -299,12 +294,12 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     """Validate a batch of pure channels and resolve K.
 
     x is an (N, 2, 2) stack of amplitudes x[n, j, k] = x_jk, j the
-    sender's qubit; 'fixed' takes k as one real number or one per point,
-    and anything else raises ValueError. A real stack (float, int
-    or bool) is kept in float64, and so are its tau, K bounds and filters
-    until the input state enters a kernel: bit for bit the numbers of the
-    same stack with zero imaginary parts.
-    A complex stack stays complex128, as before. The first failing point
+    sender's qubit, of a bool, int, float or complex dtype or else of
+    numbers (see `channel._number`); 'fixed' takes k as one real number or
+    one per point. Anything else raises ValueError. A real stack is kept in
+    float64, and so are its tau, K bounds and filters until the input state
+    enters a kernel: bit for bit the numbers of the same stack with zero
+    imaginary parts. A complex stack stays complex128. The first failing point
     raises what a single report on it would: ValueError for amplitudes
     that are not a normalized state, KOutOfRangeError for a K that is not
     finite and positive, UnteleportableChannelError for a concurrence
@@ -312,9 +307,12 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     outcome's bound. A degenerate basis is refused where it is built.
     """
     x = np.asarray(x)
-    x = x.astype(np.float64 if x.dtype.kind in "biuf" else np.complex128, copy=False)
     if x.ndim != 3 or x.shape[1:] != (2, 2):
         raise ValueError(f"channel amplitudes must be an (N, 2, 2) stack, got shape {x.shape}")
+    if x.dtype.kind not in "biufc":  # what is not a number raises, entry by entry
+        x = np.vectorize(lambda z: _number(z, ValueError, "channel amplitudes must be numbers", real=False),
+                         otypes=[complex])(x)
+    x = x.astype(np.float64 if x.dtype.kind in "biuf" else np.complex128, copy=False)
     with np.errstate(invalid="ignore", over="ignore"):
         m = np.abs(x.reshape(-1, 4))
         m *= m
@@ -329,7 +327,10 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
     _check_mode(mode, k)
     n = x.shape[0]
     if mode == "fixed":
-        k = np.asarray(k)
+        try:
+            k = np.asarray(k)
+        except ValueError:  # a ragged K: the rule below refuses its list entries
+            k = np.asarray(k, dtype=object)
         if k.shape not in ((), (n,)):
             raise ValueError(
                 f"fixed K must be one number or one per point, got shape {k.shape} for {n} points"
@@ -346,10 +347,8 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
         unentangled = _concurrences(x) <= NORMALIZATION_TOL
         fails = unentangled if unnormalized is None else unentangled | unnormalized
         if mode == "fixed":
-            if k.dtype.kind == "c" and not np.count_nonzero(k.imag):
-                k = k.real
-            if k.dtype.kind not in "biuf":
-                k = np.vectorize(_real_k, otypes=[float])(k)  # raises for what is not real
+            if k.dtype.kind not in "iuf":  # raises for what is not a real number
+                k = np.vectorize(lambda z: _number(z, ValueError, _K_NOT_REAL), otypes=[float])(k)
             ks = np.empty_like(bounds)
             ks[:] = k[..., None]
             # K that is not positive, nan, or above some outcome's bound
@@ -369,7 +368,7 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
                 # differ from numpy's in the last bit, pass the tolerance
                 TwoQubitChannel(*x[i].ravel().tolist())
             if mode == "fixed":
-                KPolicy.fixed(float(ks[i, 0]))  # raises for a K that is not finite and positive
+                _positive_k(float(ks[i, 0]))  # raises for a K that is not finite and positive
             if unentangled[i]:
                 raise UnteleportableChannelError(
                     "channel carries no entanglement; nothing can be teleported"
@@ -532,7 +531,7 @@ def monte_carlo(
 
 
 # Smallest b on the comparison grid. Kept strictly positive so the
-# optimal curve stays strictly above the fixed-K curves in doubles.
+# optimal curve stays strictly above the K=1 curve in doubles.
 B_LO = 1e-6
 
 
@@ -549,8 +548,9 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
     With a = sqrt(1 - b^2), tabulates the Bell-basis total with each
     outcome at its own maximal K (2*b^2), at K=1 (2*(ab)^2), and at
-    K=sqrt(2), which doubles the K=1 total. Returns the columns
-    (b, p_opt, p_k1, p_ksqrt2).
+    K=sqrt(2), which doubles the K=1 total. That K is above the matching
+    bound 1/a at every b < 1/sqrt(2), where its total exceeds p_opt: it is
+    tabulated for comparison only. Returns the columns (b, p_opt, p_k1, p_ksqrt2).
     """
     b = np.asarray(b, dtype=float)
     pts = points(b_axis_channels(b), standard_bell(), "max-per-outcome")

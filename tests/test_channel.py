@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ def test_huge_amplitudes_are_unnormalized_not_overflow(huge):
         PureInputState(huge, 1.0)
     with pytest.raises(ValueError, match="squared moduli is inf$"):
         TwoQubitChannel.diagonal(0.5, huge)
+
+
+@pytest.mark.parametrize("value", ["0.6", b"0.6", None, [0.6], True, np.True_, np.array(0.6)], ids=repr)
+def test_an_amplitude_that_is_not_a_number_is_refused_by_name(value):
+    # a str was parsed and None raised a raw TypeError; a bool is no amplitude
+    got = f"got {value} of type {type(value).__name__}"
+    with pytest.raises(ValueError, match=f"^amplitude beta must be a number, {re.escape(got)}$"):
+        PureInputState(0.8, value)
+    with pytest.raises(ValueError, match=f"^amplitude x11 must be a number, {re.escape(got)}$"):
+        TwoQubitChannel.diagonal(0.8, value)
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["huge", "-huge"])
+def test_an_int_amplitude_beyond_the_float_range_is_not_finite(huge):
+    # read as inf by the number rule, not a raw OverflowError from complex()
+    with pytest.raises(ValueError, match="^amplitude alpha must be finite$"):
+        PureInputState(huge, 0.0)
 
 
 def test_input_state_is_frozen():

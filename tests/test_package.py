@@ -58,6 +58,36 @@ def test_the_protocol_reads_no_degeneracy_of_a_basis():
     assert found == []
 
 
+# Every public entry point that takes a number, called with one argument; the
+# points entries use two points, so that a one-element list is no K per point.
+_TWO_POINTS = [[[0.8, 0.0], [0.0, 0.6]], [[0.6, 0.0], [0.0, 0.8]]]
+NUMBER_ENTRY_POINTS = {
+    "kpolicy-fixed": telematch.KPolicy.fixed,
+    "points-k": lambda v: telematch.points(_TWO_POINTS, telematch.standard_bell(), "fixed", v),
+    "points-stack": lambda v: telematch.points(v, telematch.standard_bell(), "max-global"),
+    "matched-unitary": lambda v: telematch.matched_unitary(0.8, 0.6, v),
+    "generalized-bell": lambda v: telematch.generalized_bell(v, 0.8),
+    "two-qubit-basis": lambda v: telematch.TwoQubitBasis("gbm", 0.6, v),
+    "pure-input-state": lambda v: telematch.PureInputState(v, 0.0),
+    "two-qubit-channel": lambda v: telematch.TwoQubitChannel(0.8, 0.0, 0.0, v),
+}
+
+
+@pytest.mark.parametrize("enter", NUMBER_ENTRY_POINTS.values(), ids=NUMBER_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [True, "1", None, [1.0]], ids=repr)
+def test_every_entry_point_refuses_what_is_not_a_number_with_a_value_error(enter, value):
+    # a bool is no number, a str is not parsed, and nothing reaches a cast that raises TypeError
+    with pytest.raises(ValueError):
+        enter(value)
+
+
+def test_one_module_decides_what_counts_as_a_number():
+    # channel._number is the rule; the other modules call it
+    importing = sorted(path.name for path in PACKAGE.glob("*.py")
+                       if re.search(r"^import numbers$", path.read_text(), re.MULTILINE))
+    assert importing == ["channel.py"]
+
+
 def test_a_basis_is_built_from_its_kind_and_coefficients_alone():
     # its matrix is derived: an argument for it could again disagree with the coefficients
     names = [f.name for f in dataclasses.fields(telematch.TwoQubitBasis) if f.init]

@@ -157,7 +157,7 @@ K_ONE_ARRAY_SPELLINGS = [np.array(1.0), np.array(1 + 0j), [1.0], [1], [1 + 0j],
 
 
 @pytest.mark.parametrize("enter", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
-@pytest.mark.parametrize("k", [np.complex128(1 + 1j), 1 + 1j, 1e-300j, "1", b"1"], ids=repr)
+@pytest.mark.parametrize("k", [np.complex128(1 + 1j), 1 + 1j, 1e-300j, "1", b"1", True, np.True_], ids=repr)
 def test_a_k_that_is_not_a_real_number_is_refused_before_any_cast(enter, k):
     with pytest.raises(ValueError, match="must be a real number") as info:
         enter(k)
@@ -166,11 +166,21 @@ def test_a_k_that_is_not_a_real_number_is_refused_before_any_cast(enter, k):
 
 @pytest.mark.parametrize("k", [np.array([1 + 1j]), np.array(["1"]), np.array([None]), np.array(1 + 1j),
                                [1 + 1j], ["1"], np.array([1j], dtype=object),
-                               np.array(["1"], dtype=object)], ids=repr)
+                               np.array(["1"], dtype=object), np.array([True]), [True], np.array(True),
+                               np.array([True], dtype=object)], ids=repr)
 def test_points_refuse_a_k_array_that_is_not_real_numbers(k):
     with pytest.raises(ValueError, match="must be a real number") as info:
         points(diag_stack([0.8], [0.6]), standard_bell(), "fixed", k)
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("k", [[1.0, [1.0]], [[1.0], [1.0, 2.0]]], ids=repr)
+def test_points_refuse_a_ragged_k_with_the_package_message(k):
+    # numpy cannot make an array of it: the entries are read one by one, and a list is no K
+    with pytest.raises(ValueError, match=r"^K must be a real number, got \[1.0\] of type list$"):
+        points(diag_stack([0.8, 0.6], [0.6, 0.8]), standard_bell(), "fixed", k)
+    with pytest.raises(ValueError, match=r"^fixed K must be one number or one per point, got shape \(2,\)"):
+        points(diag_stack([0.8] * 3, [0.6] * 3), standard_bell(), "fixed", k)
 
 
 @pytest.mark.parametrize("k", [np.array([1.0]), np.array(1.0), [1.0]], ids=repr)
@@ -246,14 +256,12 @@ def test_matched_unitary_perfect_channel_at_bound():
 
 
 def test_matched_unitary_rejects_k_outside_range():
-    with pytest.raises(KOutOfRangeError):
+    with pytest.raises(KOutOfRangeError, match=r"^K=1.3 outside \(0, 1.25\] for coefficients"):
         matched_unitary(0.8, 0.6, 1.3)
-    with pytest.raises(KOutOfRangeError):
-        matched_unitary(0.8, 0.6, 0.0)
-    with pytest.raises(KOutOfRangeError):
-        matched_unitary(0.8, 0.6, -0.5)
-    with pytest.raises(KOutOfRangeError):
-        matched_unitary(0.8, 0.6, float("nan"))
+    # the range rule of every K entry point, before the bound is computed
+    for k in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(KOutOfRangeError, match=f"^K must be a finite positive number, got {k!r}$"):
+            matched_unitary(0.8, 0.6, k)
 
 
 def test_matched_unitary_message_shows_plain_numbers():
@@ -1047,6 +1055,23 @@ def test_points_refuse_a_stack_that_is_not_n_by_2_by_2():
         with pytest.raises(ValueError, match=r"must be an \(N, 2, 2\) stack") as info:
             points(x, bell, "max-global")
         assert f"got shape {shape}" in str(info.value)
+
+
+def test_points_refuse_a_stack_entry_that_is_not_a_number():
+    # numpy would parse a str stack, read None as nan and a bool as 0 or 1
+    good = np.array([[[0.8, 0.0], [0.0, 0.6]]])
+    with_none, with_bool = good.astype(object), good.astype(object)
+    with_none[0, 1, 1], with_bool[0, 0, 1] = None, True
+    for x, got in ((good.astype(str), "0.8 of type str"), (good.astype(bytes), "b'0.8' of type bytes"),
+                   (with_none, "None of type NoneType"), (with_bool, "True of type bool")):
+        with pytest.raises(ValueError, match=f"^channel amplitudes must be numbers, got {re.escape(got)}$"):
+            points(x, standard_bell(), "max-global")
+    # an object stack of numbers is the complex stack, and a bool stack is read as 0 and 1
+    for basis in (standard_bell(), generalized_bell(0.6, 0.8)):
+        got, want = (points(x, basis, "max-global") for x in (good.astype(object), good.astype(complex)))
+        assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+    with pytest.raises(ValueError, match="normalized"):
+        points(np.eye(2, dtype=bool)[None], standard_bell(), "max-global")
 
 
 def test_points_refuse_a_k_array_of_another_length():
