@@ -39,7 +39,6 @@ from .protocol import (
     ProtocolReport,
     analytic_batch,
     analytic_report,
-    k_bound,
     matched_unitary,
     monte_carlo,
     points,
@@ -72,7 +71,6 @@ __all__ = [
     "cpm",
     "format_complex",
     "generalized_bell",
-    "k_bound",
     "matched_unitary",
     "monte_carlo",
     "parse_basis",

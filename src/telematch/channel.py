@@ -44,13 +44,14 @@ def _number(z, error: type[ValueError], message: str, real: bool = True):
     """z as a float, or a complex where real is False: the one rule for what counts
     as a number. A bool, what `numbers.Number` does not take (numpy's bool_ too) and,
     where real, a non-zero imaginary part raise error(message) before any cast could
-    fail, warn or drop an imaginary part; an int beyond the float range reads as inf."""
+    fail, warn or drop an imaginary part; an int beyond the float range reads as inf
+    of its sign."""
     if isinstance(z, bool) or not isinstance(z, numbers.Number) or (real and z.imag != 0):
         raise error(f"{message}, got {z} of type {type(z).__name__}")
     try:
         return float(z.real) if real else complex(z)
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # compared as an int: math.copysign would cast it and overflow
+        return -math.inf if z.real < 0 else math.inf
 
 
 def _coerce_amplitudes(obj, names) -> None:

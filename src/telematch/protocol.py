@@ -243,13 +243,6 @@ def _k_bounds(tau: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.maximum(p, q) + (np.sqrt(h * h + r * r) - h))
 
 
-def k_bound(c0, c1):
-    """Largest valid K for a coefficient pair, min(1/|c0|, 1/|c1|): the
-    diagonal case of 1/s_max(tau), elementwise; inf where both vanish."""
-    with np.errstate(divide="ignore"):
-        return _k_bounds(_diagonal(c0, c1))
-
-
 def _filters_transposed(tau: np.ndarray, k) -> np.ndarray:
     """The filters K * adj(tau) = K [[t11, -t01], [-t10, t00]] in the layout of tau.T:
     entry [j, i] is (K adj(tau))[..., i, j], one contiguous block of a Fortran-ordered
@@ -271,7 +264,8 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     clamped at 0, is both sqrt(I - M M^dag) and sqrt(I - M^dag M).
     """
     k = _positive_k(k)
-    bound = float(k_bound(c0, c1))
+    with np.errstate(divide="ignore"):  # min(1/|c0|, 1/|c1|), inf where both vanish
+        bound = float(_k_bounds(_diagonal(c0, c1)))
     if k > bound * (1.0 + K_BOUND_RTOL):
         raise KOutOfRangeError(
             f"K={k!r} outside (0, {bound!r}] for coefficients ({complex(c0)!r}, {complex(c1)!r})"
@@ -306,60 +300,63 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     2|x00 x11 - x01 x10| <= 1e-9, and KOutOfRangeError for a K above some
     outcome's bound. A degenerate basis is refused where it is built.
     """
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+    except ValueError:  # a ragged stack: the shape test or the entry rule below refuses it
+        x = np.asarray(x, dtype=object)
     if x.ndim != 3 or x.shape[1:] != (2, 2):
         raise ValueError(f"channel amplitudes must be an (N, 2, 2) stack, got shape {x.shape}")
     if x.dtype.kind not in "biufc":  # what is not a number raises, entry by entry
         x = np.vectorize(lambda z: _number(z, ValueError, "channel amplitudes must be numbers", real=False),
                          otypes=[complex])(x)
     x = x.astype(np.float64 if x.dtype.kind in "biuf" else np.complex128, copy=False)
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = np.abs(x.reshape(-1, 4))
-        m *= m
-        # nan and inf amplitudes fail the comparison too
-        unnormalized = ~(np.abs(m[:, 0] + m[:, 1] + m[:, 2] + m[:, 3] - 1.0) <= NORMALIZATION_TOL)
-    return _points(x, basis, mode, k, unnormalized)
-
-
-def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None) -> Points:
-    """`points` on an (N, 2, 2) stack; unnormalized flags the points that failed
-    the normalization check, None for amplitudes known to be normalized."""
     _check_mode(mode, k)
-    n = x.shape[0]
     if mode == "fixed":
         try:
             k = np.asarray(k)
         except ValueError:  # a ragged K: the rule below refuses its list entries
             k = np.asarray(k, dtype=object)
-        if k.shape not in ((), (n,)):
+        if k.shape not in ((), (len(x),)):
             raise ValueError(
-                f"fixed K must be one number or one per point, got shape {k.shape} for {n} points"
+                f"fixed K must be one number or one per point, got shape {k.shape} for {len(x)} points"
             )
+        if k.dtype.kind not in "iuf":  # raises for what is not a real number
+            k = np.vectorize(lambda z: _number(z, ValueError, _K_NOT_REAL), otypes=[float])(k)
     # Every point is computed and checked, invalid ones included, whose
     # arithmetic may overflow or produce nan; only the first failure counts.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        # tau[n, lam, k, i] = sum_j G_lam[j, i] x[n, j, k] by one 2-D product; tau
-        # is Fortran-ordered, so each entry tau[..., k, i] is one (N, 4) block.
-        # A real stack stays real: each entry is one product c x, which
-        # complex arithmetic with zero imaginary parts rounds alike.
-        tau = (basis.blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
-        bounds = _k_bounds(tau)
-        unentangled = _concurrences(x) <= NORMALIZATION_TOL
-        fails = unentangled if unnormalized is None else unentangled | unnormalized
-        if mode == "fixed":
-            if k.dtype.kind not in "iuf":  # raises for what is not a real number
-                k = np.vectorize(lambda z: _number(z, ValueError, _K_NOT_REAL), otypes=[float])(k)
-            ks = np.empty_like(bounds)
-            ks[:] = k[..., None]
-            # K that is not positive, nan, or above some outcome's bound
-            fits = (ks > 0.0) & (ks <= bounds * (1.0 + K_BOUND_RTOL))
-            if np.count_nonzero(fits) != fits.size:  # reduce per point only if some K fails
-                fails = fails | ~np.logical_and.reduce(fits, axis=1)
-        elif mode == "max-global":
-            ks = np.empty_like(bounds)
-            ks[:] = np.minimum.reduce(bounds, axis=1)[:, None]
-        else:
-            ks = bounds
+        m = np.abs(x.reshape(-1, 4))
+        m *= m
+        # nan and inf amplitudes fail the comparison too
+        unnormalized = ~(np.abs(m[:, 0] + m[:, 1] + m[:, 2] + m[:, 3] - 1.0) <= NORMALIZATION_TOL)
+        return _points(x, basis, mode, k, unnormalized)
+
+
+def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None) -> Points:
+    """`points` past its checks: resolve a checked mode and a real K, one or one per
+    point, on an (N, 2, 2) stack. unnormalized flags the points that failed the
+    normalization check, None for amplitudes known to be finite and normalized."""
+    n = x.shape[0]
+    # tau[n, lam, k, i] = sum_j G_lam[j, i] x[n, j, k] by one 2-D product; tau
+    # is Fortran-ordered, so each entry tau[..., k, i] is one (N, 4) block.
+    # A real stack stays real: each entry is one product c x, which
+    # complex arithmetic with zero imaginary parts rounds alike.
+    tau = (basis.blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
+    bounds = _k_bounds(tau)
+    unentangled = _concurrences(x) <= NORMALIZATION_TOL
+    fails = unentangled if unnormalized is None else unentangled | unnormalized
+    if mode == "fixed":
+        ks = np.empty_like(bounds)
+        ks.T[:] = k  # a float or one K per point, broadcast over the outcomes
+        # K that is not positive, nan, or above some outcome's bound
+        fits = (ks > 0.0) & (ks <= bounds * (1.0 + K_BOUND_RTOL))
+        if np.count_nonzero(fits) != fits.size:  # reduce per point only if some K fails
+            fails = fails | ~np.logical_and.reduce(fits, axis=1)
+    elif mode == "max-global":
+        ks = np.empty_like(bounds)
+        ks[:] = np.minimum.reduce(bounds, axis=1)[:, None]
+    else:
+        ks = bounds
     # np.count_nonzero: at N=1 ndarray.any costs more than the empty loop it skips
     if np.count_nonzero(fails):
         for i in fails.nonzero()[0]:
@@ -391,7 +388,7 @@ def _report_points(ch: TwoQubitChannel, basis: TwoQubitBasis, mode: str, k) -> P
     mode and K. The arrays are read-only, as every caller shares them. A
     refused point raises and is not stored.
     """
-    # the object checked its amplitudes when it was made
+    # the channel checked its amplitudes and the KPolicy its mode and K when made
     pts = _points(ch.vector().reshape(1, 2, 2), basis, mode, k)
     for a in pts[1:]:
         a.setflags(write=False)

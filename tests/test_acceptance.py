@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from telematch import protocol
 from telematch.channel import PureInputState, TwoQubitChannel
 from telematch.measurement import generalized_bell, standard_bell
 from telematch.protocol import (
@@ -19,7 +20,6 @@ from telematch.protocol import (
     analytic_report,
     fig1_columns,
     fig1_grid,
-    k_bound,
     matched_unitary,
     monte_carlo,
     simulate_report,
@@ -256,7 +256,7 @@ def test_criterion_10_k_bound_enforcement():
     for _ in range(100):
         c0 = rng.uniform(0.05, 1.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         c1 = rng.uniform(0.05, 1.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        bound = k_bound(c0, c1)
+        bound = float(protocol._k_bounds(protocol._diagonal(c0, c1)))  # min(1/|c0|, 1/|c1|)
         try:
             matched_unitary(c0, c1, bound * (1 + 1e-6))
             ok = False

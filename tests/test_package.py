@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "KPolicy", "MonteCarloReport", "OutcomeReport", "Points", "ProtocolReport",
     "PureInputState", "TwoQubitBasis", "TwoQubitChannel", "UnteleportableChannelError",
     "__version__", "analytic_batch", "analytic_report", "classify", "concurrence", "cpm",
-    "format_complex", "generalized_bell", "k_bound", "matched_unitary", "monte_carlo",
+    "format_complex", "generalized_bell", "matched_unitary", "monte_carlo",
     "parse_basis", "parse_channel", "parse_complex", "points", "simulate_batch",
     "simulate_report", "standard_bell",
 ]

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -45,7 +46,6 @@ from telematch.protocol import (
     b_axis_channels,
     fig1_columns,
     fig1_grid,
-    k_bound,
     matched_unitary,
     monte_carlo,
     points,
@@ -61,6 +61,12 @@ H = 1.0 / math.sqrt(2.0)
 def unitarity_error(u):
     """max |(U U^dag - I)_ij|."""
     return np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
+
+
+def diagonal_bounds(c0, c1):
+    """1/s_max(diag(c0, c1)) elementwise, as `matched_unitary` bounds its pair."""
+    with np.errstate(divide="ignore"):  # inf where both vanish
+        return protocol._k_bounds(protocol._diagonal(c0, c1))
 
 
 def channel_stack(ch):
@@ -183,6 +189,15 @@ def test_points_refuse_a_ragged_k_with_the_package_message(k):
         points(diag_stack([0.8] * 3, [0.6] * 3), standard_bell(), "fixed", k)
 
 
+def test_points_refuse_a_ragged_stack_with_the_package_message():
+    # as for K, numpy cannot make an array of it: read as objects, a ragged point
+    # fails the shape test and a list entry the number rule
+    with pytest.raises(ValueError, match=r"^channel amplitudes must be an \(N, 2, 2\) stack, got shape \(2,\)$"):
+        points([[[0.8, 0.0], [0.0, 0.6]], [[1.0]]], standard_bell(), "max-global")
+    with pytest.raises(ValueError, match=r"^channel amplitudes must be numbers, got \[0.6\] of type list$"):
+        points([[[0.8, 0.0], [0.0, [0.6]]]], standard_bell(), "max-global")
+
+
 @pytest.mark.parametrize("k", [np.array([1.0]), np.array(1.0), [1.0]], ids=repr)
 def test_kpolicy_refuses_an_array_k(k):
     with pytest.raises(ValueError, match="must be a real number") as info:
@@ -208,12 +223,13 @@ def test_a_complex_k_array_with_zero_imaginary_parts_is_its_real_part():
 
 
 @pytest.mark.parametrize("enter", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
-@pytest.mark.parametrize("k", [10**400, -(10**400)], ids=["huge", "-huge"])
-def test_an_int_beyond_the_float_range_is_out_of_range(enter, k):
-    # read as +-inf, not a raw OverflowError from its cast
-    with pytest.raises(KOutOfRangeError):
+@pytest.mark.parametrize("k, got", [(10**400, "inf"), (-(10**400), "-inf")], ids=["huge", "-huge"])
+def test_an_int_beyond_the_float_range_is_out_of_range(enter, k, got):
+    # read as inf of its sign, not a raw OverflowError from its cast
+    message = f"^K must be a finite positive number, got {got}$"
+    with pytest.raises(KOutOfRangeError, match=message):
         enter(k)
-    with pytest.raises(KOutOfRangeError):
+    with pytest.raises(KOutOfRangeError, match=message):
         points(diag_stack([0.8, 0.6], [0.6, 0.8]), standard_bell(), "fixed", np.array([1, k], dtype=object))
 
 
@@ -234,10 +250,17 @@ def test_kpolicy_is_frozen():
 # ----------------------------------------------------- matched unitary
 
 
-def test_k_bound_goldens():
-    assert k_bound(0.8, 0.6) == 1.25
-    assert k_bound(0.0, 0.5) == 2.0
-    assert k_bound(0.0, 0.0) == math.inf
+def test_k_bound_goldens_on_the_edge_of_matched_unitary():
+    # min(1/|c0|, 1/|c1|) is accepted, and refused above its tolerance
+    for c0, c1, bound in ((0.8, 0.6, 1.25), (0.0, 0.5, 2.0)):
+        assert diagonal_bounds(c0, c1) == bound
+        assert unitarity_error(matched_unitary(c0, c1, bound)) <= 1e-12
+        above = bound * (1.0 + 2.0 * protocol.K_BOUND_RTOL)
+        with pytest.raises(KOutOfRangeError, match=f"^{re.escape(f'K={above!r} outside (0, {bound!r}]')}"):
+            matched_unitary(c0, c1, above)
+    # no bound where both vanish: every finite positive K is accepted
+    assert diagonal_bounds(0.0, 0.0) == math.inf
+    assert unitarity_error(matched_unitary(0.0, 0.0, sys.float_info.max)) == 0.0
 
 
 def test_matched_unitary_k1_golden():
@@ -280,9 +303,11 @@ def test_matched_unitary_is_unitary_for_random_pairs():
     for _ in range(200):
         c0 = rng.uniform(0.05, 1.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         c1 = rng.uniform(0.05, 1.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        bound = k_bound(c0, c1)
+        bound = float(diagonal_bounds(c0, c1))
         for k in (rng.uniform(0.05, 1.0) * bound, bound):
             assert unitarity_error(matched_unitary(c0, c1, k)) <= 1e-12
+        with pytest.raises(KOutOfRangeError):
+            matched_unitary(c0, c1, bound * (1.0 + 2.0 * protocol.K_BOUND_RTOL))
 
 
 def test_matched_unitary_success_block_rescales_amplitudes():
@@ -1084,11 +1109,11 @@ def test_points_refuse_a_k_array_of_another_length():
             points(diag_stack([0.8, 0.6], [0.6, 0.8]), standard_bell(), "fixed", k)
 
 
-def test_k_bound_is_the_diagonal_case_of_the_general_bound():
+def test_the_bound_of_a_diagonal_pair_is_one_over_its_larger_modulus():
     # 1/s_max(diag(c0, c1)) equals 1/max(|c0|, |c1|) bit for bit
     c0 = rng.normal(size=3000) + 1j * rng.normal(size=3000)
     c1 = rng.normal(size=3000) + 1j * rng.normal(size=3000)
-    assert np.array_equal(k_bound(c0, c1), 1.0 / np.maximum(np.abs(c0), np.abs(c1)))
+    assert np.array_equal(diagonal_bounds(c0, c1), 1.0 / np.maximum(np.abs(c0), np.abs(c1)))
 
 
 def _k_bounds_unconditional(tau):
@@ -1586,6 +1611,22 @@ def test_a_report_pair_resolves_its_point_once(monkeypatch):
         simulate_report(*args, policy)
         monte_carlo(*args, policy, 1000, 5)
         assert len(calls) == 1
+
+
+def test_a_k_policy_is_checked_once_where_it_enters(monkeypatch):
+    # by the KPolicy for the reports, which hand its mode and K on unchecked; by points for a batch
+    calls = []
+    original = protocol._check_mode
+    monkeypatch.setattr(protocol, "_check_mode", lambda *args: calls.append(args) or original(*args))
+    POINT_MEMO.cache_clear()
+    inp, ch, basis = PureInputState(0.6, 0.8), TwoQubitChannel.diagonal(0.8, 0.6), standard_bell()
+    policy = KPolicy.fixed(0.5)
+    analytic_report(inp, ch, basis, policy)
+    simulate_report(inp, ch, basis, policy)
+    assert calls == [("fixed", 0.5)]
+    calls.clear()
+    points(channel_stack(ch), basis, "fixed", 0.5)
+    assert calls == [("fixed", 0.5)]
 
 
 def test_a_report_pair_on_bases_named_twice_resolves_its_point_once():
