@@ -156,12 +156,15 @@ def classify(ch: TwoQubitChannel) -> ChannelClass:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse a scalar literal: '0.8', '-0.5+0.5i', '1e-3-2e-4i'."""
+    """Parse a scalar literal: '0.8', '-0.5+0.5i', '1e-3-2e-4i', '1-infi'; only a
+    trailing i or I is the imaginary unit, so 'inf' and 'Infinity' keep their i."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty number literal")
+    if s[-1] in "iI":
+        s = s[:-1] + "j"
     try:
-        return complex(s.replace("i", "j").replace("I", "j"))
+        return complex(s)
     except ValueError:
         raise ValueError(f"bad number literal: {text!r}") from None
 

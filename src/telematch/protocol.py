@@ -55,8 +55,9 @@ _K_NOT_REAL = "K must be a real number"
 # Most trials monte_carlo takes: numpy draws the counts as int64.
 MAX_TRIALS = 2**63 - 1
 
-# Signs that turn the flipped transpose [[t11, t01], [t10, t00]] into adj(t).
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# Signs that turn the flipped transpose [[t11, t01], [t10, t00]] into adj(t), in
+# their broadcast shape over the (outcome, point) axes of a transposed tau.
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(2, 2, 1, 1)
 
 # Smallest normal double: keeps 1/sqrt(w) finite where a weight w is 0.
 _TINY = np.finfo(float).tiny
@@ -246,9 +247,8 @@ def _k_bounds(tau: np.ndarray) -> np.ndarray:
 def _filters_transposed(tau: np.ndarray, k) -> np.ndarray:
     """The filters K * adj(tau) = K [[t11, -t01], [-t10, t00]] in the layout of tau.T:
     entry [j, i] is (K adj(tau))[..., i, j], one contiguous block of a Fortran-ordered
-    tau and k."""
-    signs = _ADJUGATE_SIGNS.reshape((2, 2) + (1,) * (tau.ndim - 2))
-    return tau.T[::-1, ::-1].swapaxes(0, 1) * (signs * k.T)
+    tau and k, over the (N, 4, 2, 2) tau of `Points`."""
+    return tau.T[::-1, ::-1].swapaxes(0, 1) * (_ADJUGATE_SIGNS * k.T)
 
 
 def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
@@ -420,8 +420,8 @@ def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
     v *= v
     p_alice = pts.basis.pref2 * (v[..., 0] + v[..., 1])
     p_joint = _p_joint(pts.basis.pref2, _abs_det(pts.tau), pts.k)
-    total = p_joint.sum(axis=-1)  # in outcome order
-    return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones_like(p_joint), total)
+    total = np.add.reduce(p_joint, axis=-1)  # ndarray.sum's reduction, in outcome order
+    return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones(p_joint.shape), total)
 
 
 def _p_joint(pref2, det: np.ndarray, k) -> np.ndarray:
@@ -444,7 +444,7 @@ def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
     state with the input. Works on (4, N) arrays over (outcome, point)
     and reports the same fields as analytic_batch, to double precision.
     """
-    psi_in = inp.vector()
+    psi_in = np.array((inp.alpha, inp.beta))  # both complex, as the state coerced them
     # states[2 q1 + q2, q3, n], input qubit q1 most significant as in np.kron(psi_in, channel)
     states = (psi_in[:, None, None, None] * pts.x.transpose(1, 2, 0)).reshape(4, 2, -1)
     p_alice, r = project_all(states, pts.basis)
@@ -456,14 +456,14 @@ def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
     fidelity = overlap * overlap
     p_bob = succ_w / p_alice
     p_joint = p_alice * p_bob
-    return Batch(pts.k, p_alice.T, p_bob.T, p_joint.T, fidelity.T, p_joint.sum(axis=0))
+    return Batch(pts.k, p_alice.T, p_bob.T, p_joint.T, fidelity.T, np.add.reduce(p_joint, axis=0))
 
 
 def _report(batch: Batch) -> ProtocolReport:
     """The single point of an N=1 batch as a report."""
-    k_used, p_alice, p_bob, p_joint, fidelity = [column[0].tolist() for column in batch[:5]]
+    k_used, p_alice, p_bob, p_joint, fidelity = [column.tolist()[0] for column in batch[:5]]
     outcomes = tuple(map(OutcomeReport, (1, 2, 3, 4), k_used, p_alice, p_bob, p_joint, fidelity))
-    return ProtocolReport(outcomes, float(batch.total[0]))
+    return ProtocolReport(outcomes, batch.total.tolist()[0])
 
 
 def analytic_report(
@@ -516,7 +516,7 @@ def monte_carlo(
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     batch = analytic_batch(inp, _report_points(ch, basis, policy.mode, policy.k))
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))  # what default_rng(seed) builds
     outcomes = rng.multinomial(trials, batch.p_alice[0]).tolist()
     # Four scalar draws: the same counts and generator state as one array call,
     # at less than half its cost. binomial refuses the p_bob of 1 + 1ulp that

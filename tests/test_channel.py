@@ -30,6 +30,11 @@ rng = np.random.default_rng(61803)
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
+def same_complex(z, w):
+    """z == w, with nan equal to nan in each part."""
+    return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in ((z.real, w.real), (z.imag, w.imag)))
+
+
 def random_normalized(n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
@@ -216,10 +221,16 @@ def test_concurrence_bounds_on_random_channels():
         (" 0.25 ", 0.25 + 0j),
         ("i", 1j),
         ("-i", -1j),
+        # only a trailing i is the imaginary unit: the i of inf stays
+        ("inf", complex(math.inf, 0.0)),
+        ("-inf", complex(-math.inf, 0.0)),
+        ("Infinity", complex(math.inf, 0.0)),
+        ("1+infi", complex(1.0, math.inf)),
+        ("nani", complex(0.0, math.nan)),
     ],
 )
 def test_parse_complex(text, expected):
-    assert parse_complex(text) == expected
+    assert same_complex(parse_complex(text), expected)
 
 
 @pytest.mark.parametrize("bad", ["abc", "", "0.5+", "1+2k"])
@@ -235,6 +246,13 @@ def test_format_complex_roundtrip():
         assert abs(back - z) <= 1e-12 * abs(z)
     assert format_complex(0.5 + 0j) == "0.5"
     assert format_complex(0.5 - 0.25j) == "0.5-0.25i"
+
+
+@pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(-math.inf, 0.5), complex(1.0, math.inf),
+                               complex(0.0, -math.inf), complex(math.nan, 0.0), complex(0.0, math.nan),
+                               complex(math.nan, -math.inf)])
+def test_format_complex_roundtrip_of_non_finite_values(z):
+    assert same_complex(parse_complex(format_complex(z)), z)
 
 
 def test_parse_channel_diag_form():

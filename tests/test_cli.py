@@ -128,6 +128,22 @@ def test_analyze_bad_literal_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # inf is a number literal like nan: the state refuses both, not the parser
+        (["run", "--channel=diag:inf,0.6"], "amplitude x00 must be finite"),
+        (["run", "--channel=diag:nan,0.6"], "amplitude x00 must be finite"),
+        (["analyze", "--channel=0.5,0.5,-Infinity,0.5"], "amplitude x10 must be finite"),
+        (["run", "--channel=diag:0.8,0.6", "--alpha=0.6", "--beta=1+infi"], "amplitude beta must be finite"),
+        (["run", "--channel=diag:0.8,0.6", "--basis=gbm:inf,0.6"],
+         "basis coefficients must satisfy a'^2 + b'^2 = 1, got inf"),
+    ],
+)
+def test_non_finite_literals_are_refused_by_what_they_build(capsys, argv, message):
+    assert run_capture(capsys, argv) == (1, "", f"telematch: error: {message}\n")
+
+
 def test_run_csv_golden(capsys):
     code, out, _ = run_capture(
         capsys,

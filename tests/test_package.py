@@ -121,17 +121,18 @@ def test_the_readme_python_blocks_run_in_order():
 
 def test_importing_the_cli_builds_nothing_a_command_needs():
     # A cold start pays for imports alone: the CSV writer's tables, the
-    # argument parser and the Bell basis are built on first use.
+    # argument parser and the Bell basis are built on first use, and no
+    # output format loads json.
     code = (
         "import sys, telematch.cli as cli, telematch.measurement as m\n"
         "print('telematch.csvtext' in sys.modules, cli._parser.cache_info().currsize,\n"
-        "      m.standard_bell.cache_info().currsize)\n"
+        "      m.standard_bell.cache_info().currsize, 'json' in sys.modules)\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    assert done.stdout.split() == ["False", "0", "0"]
+    assert done.stdout.split() == ["False", "0", "0", "False"]
 
 
 def test_importing_the_csv_writer_loads_nothing_beyond_numpy_and_telematch():

@@ -695,6 +695,63 @@ def test_monte_carlo_is_deterministic_per_seed():
     assert mc3 != mc1
 
 
+# Counts of 100000 trials of input (0.6, 0.8i) through 0.8|00> + 0.6|11>,
+# fixed K = 1 or a maximal K: a seed must give these on every version and
+# platform. Bell's two maximal policies coincide on a diagonal channel; gbm's
+# per-outcome outcomes 1 and 4 herald with p_bob 1.
+SEEDED_COUNTS = {
+    ("bell", "fixed", 0): ((23206, 23000, 26916, 26878), (11568, 11438, 11507, 11624)),
+    ("bell", "fixed", 7): ((23021, 22914, 26827, 27238), (11531, 11440, 11484, 11610)),
+    ("bell", "fixed", 2**32): ((23138, 22966, 26780, 27116), (11626, 11466, 11340, 11333)),
+    ("bell", "fixed", 2**63 - 1): ((22972, 22979, 26981, 27068), (11488, 11603, 11570, 11619)),
+    ("bell", "fixed", 10**30): ((23058, 23237, 26952, 26753), (11445, 11504, 11594, 11428)),
+    ("bell", "max", 0): ((23206, 23000, 26916, 26878), (18158, 18016, 17965, 17813)),
+    ("bell", "max", 7): ((23021, 22914, 26827, 27238), (17968, 17916, 17891, 18213)),
+    ("bell", "max", 2**32): ((23138, 22966, 26780, 27116), (18030, 17956, 17978, 18345)),
+    ("bell", "max", 2**63 - 1): ((22972, 22979, 26981, 27068), (17945, 17861, 17975, 18021)),
+    ("bell", "max", 10**30): ((23058, 23237, 26952, 26753), (18082, 18248, 17921, 17865)),
+    ("bell", "per", 0): ((23206, 23000, 26916, 26878), (18158, 18016, 17965, 17813)),
+    ("bell", "per", 7): ((23021, 22914, 26827, 27238), (17968, 17916, 17891, 18213)),
+    ("bell", "per", 2**32): ((23138, 22966, 26780, 27116), (18030, 17956, 17978, 18345)),
+    ("bell", "per", 2**63 - 1): ((22972, 22979, 26981, 27068), (17945, 17861, 17975, 18021)),
+    ("bell", "per", 10**30): ((23058, 23237, 26952, 26753), (18082, 18248, 17921, 17865)),
+    ("gbm", "fixed", 0): ((23206, 23000, 30789, 23005), (5317, 5252, 5300, 5409)),
+    ("gbm", "fixed", 7): ((23021, 22914, 31166, 22899), (5321, 5265, 5374, 5254)),
+    ("gbm", "fixed", 2**32): ((23138, 22966, 31032, 22864), (5379, 5277, 5250, 5071)),
+    ("gbm", "fixed", 2**63 - 1): ((22972, 22979, 30997, 23052), (5294, 5388, 5361, 5353)),
+    ("gbm", "fixed", 10**30): ((23058, 23237, 30659, 23046), (5242, 5258, 5335, 5308)),
+    ("gbm", "max", 0): ((23206, 23000, 30789, 23005), (13088, 12998, 12927, 12811)),
+    ("gbm", "max", 7): ((23021, 22914, 31166, 22899), (12929, 12906, 13102, 12907)),
+    ("gbm", "max", 2**32): ((23138, 22966, 31032, 22864), (12958, 12935, 12913, 13095)),
+    ("gbm", "max", 2**63 - 1): ((22972, 22979, 30997, 23052), (12920, 12814, 13053, 12918)),
+    ("gbm", "max", 10**30): ((23058, 23237, 30659, 23046), (13053, 13185, 12949, 12966)),
+    ("gbm", "per", 0): ((23206, 23000, 30789, 23005), (23206, 13077, 12794, 23005)),
+    ("gbm", "per", 7): ((23021, 22914, 31166, 22899), (23021, 12837, 13102, 22899)),
+    ("gbm", "per", 2**32): ((23138, 22966, 31032, 22864), (23138, 12785, 13027, 22864)),
+    ("gbm", "per", 2**63 - 1): ((22972, 22979, 30997, 23052), (22972, 12934, 12891, 23052)),
+    ("gbm", "per", 10**30): ((23058, 23237, 30659, 23046), (23058, 13080, 12885, 23046)),
+}
+SAMPLER_BASES = {"bell": standard_bell(), "gbm": generalized_bell(0.6, 0.8)}
+SAMPLER_POLICIES = {"fixed": KPolicy.fixed(1.0), "max": KPolicy.max_global(),
+                    "per": KPolicy.max_per_outcome()}
+
+
+@pytest.mark.parametrize("basis_name, policy_name, seed", list(SEEDED_COUNTS))
+def test_a_seed_gives_its_recorded_counts(basis_name, policy_name, seed):
+    inp, ch = PureInputState(0.6, 0.8j), TwoQubitChannel.diagonal(0.8, 0.6)
+    basis, policy = SAMPLER_BASES[basis_name], SAMPLER_POLICIES[policy_name]
+    counts = SEEDED_COUNTS[basis_name, policy_name, seed]
+    mc = monte_carlo(inp, ch, basis, policy, 100000, seed)
+    assert (mc.outcome_counts, mc.success_counts) == counts
+    # the documented stream: one multinomial, then one binomial per outcome in
+    # order, all from np.random.default_rng(seed)
+    rep = analytic_report(inp, ch, basis, policy)
+    reference = np.random.default_rng(seed)
+    outcomes = reference.multinomial(100000, [o.p_alice for o in rep.outcomes]).tolist()
+    successes = [reference.binomial(n, min(o.p_bob, 1.0)) for n, o in zip(outcomes, rep.outcomes)]
+    assert (tuple(outcomes), tuple(successes)) == counts
+
+
 def test_monte_carlo_refuses_a_negative_seed():
     ch = TwoQubitChannel.diagonal(0.8, 0.6)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
@@ -1699,3 +1756,36 @@ def test_report_types_are_frozen_value_objects(cls, values, text):
     assert repr(rep) == text  # replace made copies
     with pytest.raises(TypeError):
         cls(values[0])  # every field but the sampler is required
+
+
+@pytest.mark.parametrize(
+    "ch, basis, policy",
+    [
+        (TwoQubitChannel.diagonal(0.8, 0.6), standard_bell(), KPolicy.max_global()),
+        (TwoQubitChannel.diagonal(0.6 + 0.48j, 0.64), generalized_bell(0.28, 0.96), KPolicy.max_per_outcome()),
+        (TwoQubitChannel(0.5, 0.5j, -0.1, 0.7), generalized_bell(0.6, 0.8), KPolicy.fixed(0.5)),
+    ],
+)
+def test_reports_hold_python_numbers(ch, basis, policy):
+    # np.float64 subclasses float, so only the exact type shows a numpy scalar
+    # that would print as np.float64(...) in a repr
+    inp = PureInputState(0.6, 0.8j)
+    for rep in (analytic_report(inp, ch, basis, policy), simulate_report(inp, ch, basis, policy)):
+        assert type(rep.total) is float
+        assert [type(o.lam) for o in rep.outcomes] == [int] * 4
+        assert {type(getattr(o, name)) for o in rep.outcomes
+                for name in ("k_used", "p_alice", "p_bob", "p_joint", "fidelity")} == {float}
+        assert "np." not in repr(rep)
+    mc = monte_carlo(inp, ch, basis, policy, 1000, 3)
+    assert [type(n) for n in (mc.trials, mc.seed, *mc.outcome_counts, *mc.success_counts)] == [int] * 10
+    assert (type(mc.p_hat), type(mc.std_err)) == (float, float)
+    assert "np." not in repr(mc)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_analytic_fidelity_is_float64_ones_per_point_and_outcome(n):
+    pts = points(np.repeat(diag_stack(0.8, 0.6j)[None], n, axis=0), generalized_bell(0.6, 0.8),
+                 "max-per-outcome")
+    fidelity = analytic_batch(PureInputState(0.6, 0.8j), pts).fidelity
+    assert fidelity.dtype == np.float64 and fidelity.shape == (n, 4)
+    assert (fidelity == 1.0).all()
