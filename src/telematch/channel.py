@@ -16,6 +16,7 @@ channel is deterministic, probabilistic, or impossible.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import numbers
@@ -54,12 +55,18 @@ def _number(z, error: type[ValueError], message: str, real: bool = True):
         return -math.inf if z.real < 0 else math.inf
 
 
+def _amplitude(z, what: str) -> complex:
+    """z as a finite complex by the rule of `_number`; what names it in the error."""
+    z = _number(z, ValueError, f"{what} must be a number", real=False)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{what} must be finite")
+    return z
+
+
 def _coerce_amplitudes(obj, names) -> None:
     total = 0.0
     for name in names:
-        z = _number(getattr(obj, name), ValueError, f"amplitude {name} must be a number", real=False)
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-            raise ValueError(f"amplitude {name} must be finite")
+        z = _amplitude(getattr(obj, name), f"amplitude {name}")
         object.__setattr__(obj, name, z)
         try:
             total += abs(z) ** 2
@@ -118,7 +125,12 @@ def cpm(ch: TwoQubitChannel) -> np.ndarray:
 def _concurrences(x: np.ndarray) -> np.ndarray:
     """2|x00 x11 - x01 x10| over an (N, 2, 2) stack x[n, j, k] = x_jk: shared by
     `concurrence`, `classify` and `protocol.points`, so that they agree bit for bit."""
-    return 2.0 * np.abs(x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
+    return 2.0 * _abs_det(x)
+
+
+def _abs_det(m: np.ndarray) -> np.ndarray:
+    """|det m| over the last two axes: shared by `_concurrences` and `protocol`'s kernels."""
+    return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
 
 def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -51,6 +51,9 @@ EXIT_DOMAIN = 2
 
 SEED_ENV = "TELEMATCH_SEED"
 
+# Impossible physics: the errors that exit EXIT_DOMAIN.
+_DOMAIN_ERRORS = (KOutOfRangeError, UnteleportableChannelError, DegenerateBasisError)
+
 # Largest grid `sweep` and `fig1` accept. Both compute in blocks; a
 # sweep holds its CSV text, about 55 bytes per point, until the last
 # block and then joins it: 12 MB peak under tracemalloc at the cap.
@@ -188,8 +191,6 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .csvtext import rows_text  # its tables are built on first use, not at startup
-
     basis = parse_basis(args.basis)
     inp = _input_state(args)
     _check_steps(args.steps, 1)
@@ -216,36 +217,36 @@ def cmd_sweep(args) -> int:
 
         def block_points(g):
             return points(b_axis_channels(g), basis, policy.mode, policy.k)
-    # a failing point in any block leaves stdout empty
-    text = [f"{args.param},analytic_total,simulated_total\n"]
-    for g in _blocks(np.linspace(args.start, args.stop, args.steps)):
+
+    def columns(g):
         pts = block_points(g)
-        text.append(rows_text((g, analytic_batch(inp, pts).total, simulate_batch(inp, pts).total)))
-    sys.stdout.write("".join(text))
+        return g, analytic_batch(inp, pts).total, simulate_batch(inp, pts).total
+
+    grid = np.linspace(args.start, args.stop, args.steps)
+    # joined first, so a failing point in any block leaves stdout empty
+    sys.stdout.write("".join(_csv(f"{args.param},analytic_total,simulated_total", grid, columns)))
     return EXIT_OK
-
-
-def _blocks(grid):
-    return (grid[start:start + GRID_BLOCK] for start in range(0, len(grid), GRID_BLOCK))
-
-
-def _write_fig1(grid, out) -> None:
-    from .csvtext import rows_text  # its tables are built on first use, not at startup
-
-    out.write("b,p_opt,p_k1,p_ksqrt2\n")
-    for g in _blocks(grid):
-        out.write(rows_text(fig1_columns(g)))
 
 
 def cmd_fig1(args) -> int:
     _check_steps(args.steps, 2)
-    grid = fig1_grid(args.steps)
+    text = _csv("b,p_opt,p_k1,p_ksqrt2", fig1_grid(args.steps), fig1_columns)
     if args.out is None:
-        _write_fig1(grid, sys.stdout)
+        sys.stdout.writelines(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_fig1(grid, fh)
+            fh.writelines(text)
     return EXIT_OK
+
+
+def _csv(header: str, grid: np.ndarray, columns):
+    """The CSV text of a grid, piece by piece: the header line, then the rows of
+    columns(g) for each GRID_BLOCK slice g of grid."""
+    from .csvtext import rows_text  # its tables are built on first use, not at startup
+
+    yield f"{header}\n"
+    for start in range(0, len(grid), GRID_BLOCK):
+        yield rows_text(columns(grid[start:start + GRID_BLOCK]))
 
 
 def _add_state_options(sub, k_default_note: str = "default max") -> None:
@@ -317,16 +318,9 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         return args.func(args)
     # the class of an error sets the exit code, wherever it was raised
-    except (
-        KOutOfRangeError,
-        UnteleportableChannelError,
-        DegenerateBasisError,
-    ) as exc:
-        print(f"telematch: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (ValueError, OSError) as exc:
         print(f"telematch: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DOMAIN if isinstance(exc, _DOMAIN_ERRORS) else EXIT_USAGE
 
 
 def entry() -> None:

@@ -39,6 +39,8 @@ from .channel import (
     PureInputState,
     TwoQubitChannel,
     UnteleportableChannelError,
+    _abs_det,
+    _amplitude,
     _concurrences,
     _gram,
     _number,
@@ -262,8 +264,10 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     M = K * adj(diag(c0, c1)) = K * diag(c1, c0), in closed form
     [[M, S], [S, -M^dag]]: S = diag(sqrt(1 - K^2 |c1|^2), sqrt(1 - K^2 |c0|^2)),
     clamped at 0, is both sqrt(I - M M^dag) and sqrt(I - M^dag M).
+    c0 and c1 are amplitudes by the rule of `channel._amplitude`.
     """
     k = _positive_k(k)
+    c0, c1 = _amplitude(c0, "coefficient c0"), _amplitude(c1, "coefficient c1")
     with np.errstate(divide="ignore"):  # min(1/|c0|, 1/|c1|), inf where both vanish
         bound = float(_k_bounds(_diagonal(c0, c1)))
     if k > bound * (1.0 + K_BOUND_RTOL):
@@ -429,11 +433,6 @@ def _p_joint(pref2, det: np.ndarray, k) -> np.ndarray:
     return pref2 * np.square(k * det)
 
 
-def _abs_det(tau: np.ndarray) -> np.ndarray:
-    """|det tau| over the last two axes."""
-    return np.abs(tau[..., 0, 0] * tau[..., 1, 1] - tau[..., 0, 1] * tau[..., 1, 0])
-
-
 def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
     """Run the protocol on every point by state-vector evolution.
 
@@ -450,8 +449,12 @@ def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
     p_alice, r = project_all(states, pts.basis)
     m = _filters_transposed(pts.tau, pts.k)  # m[j, i] is M[..., i, j] over (outcome, point)
     succ = m[0] * r[:, 0] + m[1] * r[:, 1]
-    succ_w = _success_weight(succ)
-    succ /= np.sqrt(np.maximum(succ_w, _TINY))
+    succ_w = w = _success_weight(succ)
+    small = succ_w < _TINY  # weights below the normal range, which have lost bits
+    if np.count_nonzero(small):
+        succ[:, small] *= 2.0**600  # exact; every nonzero square is then a normal double
+        w = _success_weight(succ)
+    succ /= np.sqrt(np.maximum(w, _TINY))
     overlap = np.abs(inp.alpha.conjugate() * succ[0] + inp.beta.conjugate() * succ[1])
     fidelity = overlap * overlap
     p_bob = succ_w / p_alice

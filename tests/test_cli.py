@@ -641,6 +641,9 @@ def test_sweep_memory_does_not_grow_with_the_whole_grid(capsys):
         # the last point, K = 1.5, exceeds the bound 1.25
         ["sweep", "--param", "k", "--start", "0.5", "--stop", "1.5", "--steps", "5",
          "--channel", "diag:0.8,0.6"],
+        # the last point, b = 1, carries no entanglement and lies in the second block
+        ["sweep", "--param", "b", "--start", "0.5", "--stop", "1", "--steps",
+         str(telematch.cli.GRID_BLOCK + 1)],
     ],
 )
 def test_sweep_grid_with_a_failing_point_exits_two_and_prints_nothing(capsys, argv):
@@ -648,6 +651,14 @@ def test_sweep_grid_with_a_failing_point_exits_two_and_prints_nothing(capsys, ar
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def test_fig1_file_holds_the_bytes_fig1_prints(tmp_path, capsys):
+    target = tmp_path / "curves.csv"
+    assert run_cli(["fig1", "--steps", "3000", "--out", str(target)]) == 0
+    code, out, _ = run_capture(capsys, ["fig1", "--steps", "3000"])
+    assert code == 0
+    assert target.read_bytes() == out.encode()
 
 
 # a product state with every amplitude nonzero

@@ -294,6 +294,16 @@ def test_matched_unitary_message_shows_plain_numbers():
     assert "((0.8+0j), (0.6+0j))" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "bad", ["0.8", True, np.bool_(True), None, [0.6], math.nan, math.inf, complex(0.8, -math.inf)]
+)
+def test_matched_unitary_refuses_a_coefficient_that_is_not_a_finite_amplitude(bad):
+    # the amplitude rule of `PureInputState` and `TwoQubitChannel`
+    for c0, c1, name in ((bad, 0.6, "c0"), (0.8, bad, "c1")):
+        with pytest.raises(ValueError, match=f"^coefficient {name} must be (a number|finite)"):
+            matched_unitary(c0, c1, 1.0)
+
+
 def test_matched_unitary_accepts_k_at_bound():
     u = matched_unitary(0.8, 0.6, 1.25)
     assert unitarity_error(u) <= 1e-12
@@ -590,6 +600,20 @@ def test_simulated_fidelity_is_unity_on_every_success_branch():
         sim = simulate_report(random_input(), ch, basis, policy)
         for o in sim.outcomes:
             assert o.fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1e-154, 1e-155, 1e-157, 1e-160, 1e-200, 1e-290])
+@pytest.mark.parametrize("basis", [standard_bell(), generalized_bell(0.6, 0.8)], ids=["bell", "gbm"])
+@pytest.mark.parametrize(
+    "ch",
+    [TwoQubitChannel.diagonal(0.8, 0.6), TwoQubitChannel(0.5, 0.5j, 0.1 + 0.1j, math.sqrt(0.48))],
+    ids=["diagonal", "general"],
+)
+def test_simulated_fidelity_is_unity_where_the_heralded_weight_is_subnormal(ch, basis, k):
+    # (K |det tau|)^2 lies below the smallest normal double, or underflows to 0
+    sim = simulate_report(PureInputState(0.6, 0.8j), ch, basis, KPolicy.fixed(k))
+    for o in sim.outcomes:
+        assert abs(o.fidelity - 1.0) <= 1e-12
 
 
 def test_total_success_is_input_independent():
