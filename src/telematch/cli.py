@@ -167,13 +167,18 @@ def cmd_montecarlo(args) -> int:
     inp, ch, basis, policy = _literals(args)
     total = analytic_report(inp, ch, basis, policy).total
     mc = monte_carlo(inp, ch, basis, policy, args.trials, seed)  # on the point just resolved
-    diff = mc.p_hat - total
+    diff, std_err = mc.p_hat - total, mc.std_err
+    if std_err == 0.0:
+        # p_hat is 0 or 1: its plug-in std err of 0 would blow a last-bit gap up to
+        # inf, so weigh the gap to the total, clamped to [0, 1], by the null std err
+        p0 = min(max(total, 0.0), 1.0)
+        diff, std_err = mc.p_hat - p0, math.sqrt(p0 * (1.0 - p0) / mc.trials)
     if diff == 0.0:
         z = 0.0
-    elif mc.std_err == 0.0:
+    elif std_err == 0.0:
         z = math.copysign(math.inf, diff)
     else:
-        z = diff / mc.std_err
+        z = diff / std_err
     if args.format == "csv":
         print("analytic,empirical,stderr,z")
         print(",".join([_fmt(total), _fmt(mc.p_hat), _fmt(mc.std_err), _fmt(z)]))

@@ -18,8 +18,9 @@ evolves the three-qubit state vector: it projects every point by one
 part that maps ancilla |0> to |0> and the only one any reported number
 reads (`matched_unitary` alone builds the whole dilation, in closed
 form for a diagonal pair). `points` validates a batch and resolves K
-once; the report functions and `monte_carlo` call the kernels, a single
-report being the N=1 case. The scalar functions read their point
+once; the report functions call the kernels, a single report being the
+N=1 case, and `monte_carlo` draws from the analytic kernel's two closed
+forms alone (`_probabilities`). The scalar functions read their point
 through a small memo (`_report_points`), so an analytic and a simulated
 report on one point validate it once.
 """
@@ -418,14 +419,19 @@ def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
     gbm(a', b') that is 2 min(|a|, |b|, |a'|, |b'|)^2, a plateau at
     2 lambda_min^2 (Vidal's bound), on which the Bell basis always sits.
     """
+    p_alice, p_joint = _probabilities(inp, pts)
+    total = np.add.reduce(p_joint, axis=-1)  # ndarray.sum's reduction, in outcome order
+    return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones(p_joint.shape), total)
+
+
+def _probabilities(inp: PureInputState, pts: Points) -> tuple[np.ndarray, np.ndarray]:
+    """The closed forms alone: the (N, 4) p_alice and p_joint of `analytic_batch`."""
     tau = pts.tau
     # tau @ (alpha, beta) elementwise: a matmul may round differently
     v = np.abs(tau[..., 0] * inp.alpha + tau[..., 1] * inp.beta)
     v *= v
     p_alice = pts.basis.pref2 * (v[..., 0] + v[..., 1])
-    p_joint = _p_joint(pts.basis.pref2, _abs_det(pts.tau), pts.k)
-    total = np.add.reduce(p_joint, axis=-1)  # ndarray.sum's reduction, in outcome order
-    return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones(p_joint.shape), total)
+    return p_alice, _p_joint(pts.basis.pref2, _abs_det(tau), pts.k)
 
 
 def _p_joint(pref2, det: np.ndarray, k) -> np.ndarray:
@@ -518,13 +524,15 @@ def monte_carlo(
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    batch = analytic_batch(inp, _report_points(ch, basis, policy.mode, policy.k))
+    # analytic_batch's p_alice and p_bob, bit for bit, without its total and fidelity
+    p_alice, p_joint = _probabilities(inp, _report_points(ch, basis, policy.mode, policy.k))
+    p_bob = (p_joint / p_alice).tolist()[0]
     rng = np.random.Generator(np.random.PCG64(seed))  # what default_rng(seed) builds
-    outcomes = rng.multinomial(trials, batch.p_alice[0]).tolist()
+    outcomes = rng.multinomial(trials, p_alice[0]).tolist()
     # Four scalar draws: the same counts and generator state as one array call,
     # at less than half its cost. binomial refuses the p_bob of 1 + 1ulp that
     # perfect channels give.
-    successes = [rng.binomial(n, min(p, 1.0)) for n, p in zip(outcomes, batch.p_bob[0].tolist())]
+    successes = [rng.binomial(n, min(p, 1.0)) for n, p in zip(outcomes, p_bob)]
     p_hat = sum(successes) / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return MonteCarloReport(trials, seed, tuple(outcomes), tuple(successes), p_hat, std_err)

@@ -387,6 +387,32 @@ def test_montecarlo_text_report(capsys):
     assert "sampler: multinomial-binomial" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "channel, total, z",
+    [
+        # the analytic total is 1 + 1ulp: the gap to 1, the clamped total, is 0
+        ("diag:0.7071067811865476,0.7071067811865476", 1.0000000000000002, "0"),
+        # the total is 1 - 1ulp: the gap 2**-52 over sqrt(p0 (1 - p0) / 1000)
+        ("diag:0.7071067811865475,0.7071067811865476", 0.9999999999999998, "4.71216091538724e-07"),
+    ],
+)
+def test_montecarlo_z_is_finite_on_a_perfect_channel(capsys, channel, total, z):
+    # every trial succeeds, so the plug-in std err is 0: z weighs the last-bit gap
+    # between p_hat = 1 and the total by the std err of the total itself
+    argv = ["montecarlo", "--channel", channel, "--trials", "1000", "--seed", "0"]
+    inp = PureInputState(2**-0.5, 2**-0.5)
+    assert analytic_report(inp, parse_channel(channel), parse_basis("bell"),
+                           KPolicy.max_global()).total == total
+    if total < 1.0:
+        assert float(z) == pytest.approx((1.0 - total) / math.sqrt(total * (1.0 - total) / 1000), rel=1e-14)
+    assert run_capture(capsys, argv + ["--format", "csv"]) == (
+        0, f"analytic,empirical,stderr,z\n1,1,0,{z}\n", ""
+    )
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-4:] == ["analytic total: 1", "empirical total: 1", "std err: 0", f"z: {z}"]
+
+
 def test_montecarlo_trials_above_int64_exits_one_with_one_line(capsys):
     code, out, err = run_capture(
         capsys, ["montecarlo", "--channel", "diag:0.8,0.6", "--trials", str(2**63)]

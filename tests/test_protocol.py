@@ -1382,6 +1382,21 @@ def test_general_channels_analytic_and_simulated_agree_with_fidelity_one(case):
         assert abs(b.fidelity - 1.0) <= 1e-12
 
 
+@given(general_cases(), st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=1, max_value=10**9))
+@settings(max_examples=150)
+def test_the_sampler_draws_from_the_analytic_probabilities(case, seed, trials):
+    # the documented stream on every point: one multinomial over analytic_batch's
+    # p_alice, then one binomial per outcome at its p_bob, from default_rng(seed)
+    x, _, basis, mode, k, inp = case
+    mc = monte_carlo(inp, _channel(x), basis, KPolicy(mode, k), trials, seed)
+    batch = analytic_batch(inp, points(x[None], basis, mode, k))
+    reference = np.random.default_rng(seed)
+    outcomes = reference.multinomial(trials, batch.p_alice[0]).tolist()
+    successes = [reference.binomial(n, min(p, 1.0)) for n, p in zip(outcomes, batch.p_bob[0].tolist())]
+    assert (mc.outcome_counts, mc.success_counts) == (tuple(outcomes), tuple(successes))
+
+
 @given(general_cases())
 @settings(max_examples=150)
 def test_total_never_exceeds_twice_the_smaller_schmidt_coefficient_squared(case):
