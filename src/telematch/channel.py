@@ -122,14 +122,9 @@ def cpm(ch: TwoQubitChannel) -> np.ndarray:
     )
 
 
-def _concurrences(x: np.ndarray) -> np.ndarray:
-    """2|x00 x11 - x01 x10| over an (N, 2, 2) stack x[n, j, k] = x_jk: shared by
-    `concurrence`, `classify` and `protocol.points`, so that they agree bit for bit."""
-    return 2.0 * _abs_det(x)
-
-
 def _abs_det(m: np.ndarray) -> np.ndarray:
-    """|det m| over the last two axes: shared by `_concurrences` and `protocol`'s kernels."""
+    """|det m| over the last two axes: shared by `concurrence` and `protocol.points`, so
+    that `classify` and `points` refuse a channel by one concurrence, bit for bit."""
     return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
 
@@ -146,7 +141,7 @@ def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def concurrence(ch: TwoQubitChannel) -> float:
     """Entanglement of the channel: 2|x00*x11 - x01*x10|."""
-    return float(_concurrences(ch.vector().reshape(1, 2, 2))[0])
+    return 2.0 * float(_abs_det(ch.vector().reshape(2, 2)))
 
 
 def classify(ch: TwoQubitChannel) -> ChannelClass:

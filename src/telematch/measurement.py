@@ -54,9 +54,10 @@ class TwoQubitBasis:
     stored as floats, finite and with a_p^2 + b_p^2 = 1. A gbm coefficient
     within DEGENERATE_TOL of 0 raises DegenerateBasisError, any other fault
     InvalidBasisError. Bases compare and hash by (kind, a_p, b_p): Bell is not
-    gbm(h, h), whose K has another pref. Derived and read-only: t_matrix
-    (float64), the rows of gbm(a_p, b_p), Bell's at a_p = b_p = 1/sqrt(2);
-    pref2 = pref^2, 1/2 for 'bell' and 1 for 'gbm'; blocks (see module doc).
+    gbm(h, h), whose K has another pref. Derived and read-only: t_matrix (float64),
+    the rows of gbm(a_p, b_p), Bell's at a_p = b_p = 1/sqrt(2); pref2 = pref^2, 1/2
+    for 'bell' and 1 for 'gbm'; c_b = |det tau_lam| / |det x| on every outcome, 1 for
+    'bell' and |a_p b_p| for 'gbm'; blocks (see module doc).
     """
 
     kind: str
@@ -64,6 +65,7 @@ class TwoQubitBasis:
     b_p: float | None = None
     t_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     pref2: float = field(init=False, repr=False, compare=False)
+    c_b: float = field(init=False, repr=False, compare=False)
     blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -97,6 +99,7 @@ class TwoQubitBasis:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "pref2", 0.5 if self.kind == "bell" else 1.0)
+        object.__setattr__(self, "c_b", 1.0 if self.kind == "bell" else abs(a_p * b_p))
 
 
 @functools.cache

@@ -8,7 +8,8 @@ filter M_lam = K * adj(tau_lam) to (receiver, ancilla |0>), ancilla most
 significant, for 0 < K <= 1/s_max(tau_lam). As M_lam @ tau_lam =
 K * det(tau_lam) * I, the ancilla read in |0> heralds the input state
 itself: outcome lam occurs with p_alice = pref^2 |tau_lam (alpha, beta)|^2
-and succeeds with p_joint = pref^2 (K |det tau_lam|)^2 for any input.
+and succeeds with p_joint = pref^2 (K |det tau_lam|)^2 = pref^2 (K c_B C / 2)^2
+for any input, C the channel's concurrence and c_B a constant of the basis.
 
 Two kernels do the work, each over a batch of N points (channel
 amplitudes and K per outcome) that share one input state and one
@@ -42,7 +43,6 @@ from .channel import (
     UnteleportableChannelError,
     _abs_det,
     _amplitude,
-    _concurrences,
     _gram,
     _number,
 )
@@ -198,17 +198,18 @@ class MonteCarloReport:
 class Points(NamedTuple):
     """A validated batch of N protocol points that share one basis.
 
-    x holds the (N, 2, 2) channel amplitudes x[n, j, k] = x_jk; tau the
-    (N, 4, 2, 2) outcome operators of each point; k the (N, 4) K each
-    outcome runs at. x and tau are float64 for a real stack, bit for bit
-    equal to the complex128 arrays of the same stack taken as complex, and
-    complex128 otherwise.
+    x holds the (N, 2, 2) channel amplitudes x[n, j, k] = x_jk; tau the (N, 4, 2, 2)
+    outcome operators of each point; k the (N, 4) K each outcome runs at; det the
+    (N, 1) float64 column basis.c_b |det x|, |det tau_lam| on every outcome. x and tau
+    are float64 for a real stack, bit for bit equal to the complex128 arrays of the
+    same stack taken as complex, and complex128 otherwise.
     """
 
     basis: TwoQubitBasis
     x: np.ndarray
     tau: np.ndarray
     k: np.ndarray
+    det: np.ndarray
 
 
 class Batch(NamedTuple):
@@ -295,7 +296,9 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     x is an (N, 2, 2) stack of amplitudes x[n, j, k] = x_jk, j the
     sender's qubit, of a bool, int, float or complex dtype or else of
     numbers (see `channel._number`); 'fixed' takes k as one real number or
-    one per point. Anything else raises ValueError. A real stack is kept in
+    one per point. Each entry of an x or k that is not an ndarray passes
+    that rule before numpy reads it, which would take a bool for 0 or 1.
+    Anything else raises ValueError. A real stack is kept in
     float64, and so are its tau, K bounds and filters until the input state
     enters a kernel: bit for bit the numbers of the same stack with zero
     imaginary parts. A complex stack stays complex128. The first failing point
@@ -305,28 +308,20 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
     2|x00 x11 - x01 x10| <= 1e-9, and KOutOfRangeError for a K above some
     outcome's bound. A degenerate basis is refused where it is built.
     """
-    try:
-        x = np.asarray(x)
-    except ValueError:  # a ragged stack: the shape test or the entry rule below refuses it
-        x = np.asarray(x, dtype=object)
+    given, x = x, _array(x)
     if x.ndim != 3 or x.shape[1:] != (2, 2):
         raise ValueError(f"channel amplitudes must be an (N, 2, 2) stack, got shape {x.shape}")
-    if x.dtype.kind not in "biufc":  # what is not a number raises, entry by entry
-        x = np.vectorize(lambda z: _number(z, ValueError, "channel amplitudes must be numbers", real=False),
-                         otypes=[complex])(x)
+    x = _number_array(given, x, "biufc", complex,
+                 lambda z: _number(z, ValueError, "channel amplitudes must be numbers", real=False))
     x = x.astype(np.float64 if x.dtype.kind in "biuf" else np.complex128, copy=False)
     _check_mode(mode, k)
     if mode == "fixed":
-        try:
-            k = np.asarray(k)
-        except ValueError:  # a ragged K: the rule below refuses its list entries
-            k = np.asarray(k, dtype=object)
+        given, k = k, _array(k)
         if k.shape not in ((), (len(x),)):
             raise ValueError(
                 f"fixed K must be one number or one per point, got shape {k.shape} for {len(x)} points"
             )
-        if k.dtype.kind not in "iuf":  # raises for what is not a real number
-            k = np.vectorize(lambda z: _number(z, ValueError, _K_NOT_REAL), otypes=[float])(k)
+        k = _number_array(given, k, "iuf", float, lambda z: _number(z, ValueError, _K_NOT_REAL))
     # Every point is computed and checked, invalid ones included, whose
     # arithmetic may overflow or produce nan; only the first failure counts.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -335,6 +330,28 @@ def points(x, basis: TwoQubitBasis, mode: str, k=None) -> Points:
         # nan and inf amplitudes fail the comparison too
         unnormalized = ~(np.abs(m[:, 0] + m[:, 1] + m[:, 2] + m[:, 3] - 1.0) <= NORMALIZATION_TOL)
         return _points(x, basis, mode, k, unnormalized)
+
+
+def _array(v) -> np.ndarray:
+    """v as an ndarray; as an array of its entries, of object dtype, where it is ragged,
+    so that the shape test or the entry rule of `_number_array` refuses it."""
+    try:
+        return np.asarray(v)
+    except ValueError:
+        return np.asarray(v, dtype=object)
+
+
+def _number_array(given, a: np.ndarray, kinds: str, otype: type, rule) -> np.ndarray:
+    """a, the `_array` of given, once rule, which raises for what is not a number, has
+    passed every entry. Where a is not of a dtype of kinds, rule reads a's entries into
+    an otype array. Where given is not an ndarray, rule checks given's own entries: numpy
+    reads a bool in a list as 0 or 1."""
+    if a.dtype.kind not in kinds:
+        return np.vectorize(rule, otypes=[otype])(a)
+    if not isinstance(given, np.ndarray):
+        for z in np.asarray(given, dtype=object).flat:
+            rule(z)
+    return a
 
 
 def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None) -> Points:
@@ -348,7 +365,8 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
     # complex arithmetic with zero imaginary parts rounds alike.
     tau = (basis.blocks @ x.reshape(n, 4).T).reshape(2, 2, 4, n).T
     bounds = _k_bounds(tau)
-    unentangled = _concurrences(x) <= NORMALIZATION_TOL
+    det = _abs_det(x)
+    unentangled = 2.0 * det <= NORMALIZATION_TOL  # the concurrence, as `classify` tests it
     fails = unentangled if unnormalized is None else unentangled | unnormalized
     if mode == "fixed":
         ks = np.empty_like(bounds)
@@ -381,7 +399,7 @@ def _points(x: np.ndarray, basis: TwoQubitBasis, mode: str, k, unnormalized=None
                     f"K={float(ks[i, 0])!r} exceeds the bound "
                     f"{float(bounds[i, lam0])!r} of outcome {lam0 + 1}"
                 )
-    return Points(basis, x, tau, ks)
+    return Points(basis, x, tau, ks, basis.c_b * det[:, None])
 
 
 # A few kB in all: enough for callers that take turns over a few points.
@@ -431,7 +449,7 @@ def _probabilities(inp: PureInputState, pts: Points) -> tuple[np.ndarray, np.nda
     v = np.abs(tau[..., 0] * inp.alpha + tau[..., 1] * inp.beta)
     v *= v
     p_alice = pts.basis.pref2 * (v[..., 0] + v[..., 1])
-    return p_alice, _p_joint(pts.basis.pref2, _abs_det(tau), pts.k)
+    return p_alice, _p_joint(pts.basis.pref2, pts.det, pts.k)
 
 
 def _p_joint(pref2, det: np.ndarray, k) -> np.ndarray:
@@ -562,7 +580,6 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     b = np.asarray(b, dtype=float)
     pts = points(b_axis_channels(b), standard_bell(), "max-per-outcome")
-    pref2, det = pts.basis.pref2, _abs_det(pts.tau)
     # |a|, |b| <= 1 on the b axis, so each Bell-basis bound 1/max(|a|, |b|) >= 1: K=1 is valid
-    p_k1 = _p_joint(pref2, det, 1.0).sum(axis=-1)
-    return b, _p_joint(pref2, det, pts.k).sum(axis=-1), p_k1, 2.0 * p_k1
+    p_k1 = _p_joint(pts.basis.pref2, pts.det, np.ones_like(pts.k)).sum(axis=-1)
+    return b, _p_joint(pts.basis.pref2, pts.det, pts.k).sum(axis=-1), p_k1, 2.0 * p_k1

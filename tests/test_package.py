@@ -74,7 +74,7 @@ NUMBER_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("enter", NUMBER_ENTRY_POINTS.values(), ids=NUMBER_ENTRY_POINTS)
-@pytest.mark.parametrize("value", [True, "1", None, [1.0]], ids=repr)
+@pytest.mark.parametrize("value", [True, "1", None, [1.0], [1.0, True]], ids=repr)
 def test_every_entry_point_refuses_what_is_not_a_number_with_a_value_error(enter, value):
     # a bool is no number, a str is not parsed, and nothing reaches a cast that raises TypeError
     with pytest.raises(ValueError):
