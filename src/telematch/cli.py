@@ -73,10 +73,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
-
-
 def _check_steps(steps: int, least: int) -> None:
     if not least <= steps <= MAX_STEPS:
         raise ValueError(f"--steps must be between {least} and {MAX_STEPS}, got {steps}")
@@ -117,13 +113,13 @@ def cmd_analyze(args) -> int:
     entries = [format_complex(z) for z in x.reshape(-1)]
     if args.format == "csv":
         print("cpm00,cpm01,cpm10,cpm11,class,concurrence")
-        print(",".join(entries + [str(cls), _fmt(c)]))
+        print(",".join(entries + [str(cls), format_complex(c)]))
     else:
         print("cpm:")
         print(f"  [{entries[0]}, {entries[1]}]")
         print(f"  [{entries[2]}, {entries[3]}]")
         print(f"class: {cls}")
-        print(f"concurrence: {_fmt(c)}")
+        print(f"concurrence: {format_complex(c)}")
     return EXIT_OK
 
 
@@ -145,17 +141,17 @@ def cmd_run(args) -> int:
         print("source,lam,k_used,p_alice,p_bob,p_joint,fidelity,total,max_abs_diff")
         for name, report in reports:
             for o in report.outcomes:
-                row = [name, str(o.lam), *map(_fmt, _outcome_row(o)), _fmt(report.total), _fmt(diff)]
-                print(",".join(row))
+                numbers = (*_outcome_row(o), report.total, diff)
+                print(",".join([name, str(o.lam), *map(format_complex, numbers)]))
     else:
         header = f"{'outcome':>7}  {'k_used':>17}  {'p_alice':>17}  {'p_bob':>17}  {'p_joint':>17}  {'fidelity':>17}"
         for name, report in reports:
             print(f"{name}:")
             print(header)
             for o in report.outcomes:
-                print(f"{o.lam:>7}  " + "  ".join(f"{_fmt(x):>17}" for x in _outcome_row(o)))
-            print(f"total success probability: {_fmt(report.total)}")
-        print(f"max |analytic - simulated|: {_fmt(diff)}")
+                print(f"{o.lam:>7}  " + "  ".join(f"{format_complex(x):>17}" for x in _outcome_row(o)))
+            print(f"total success probability: {format_complex(report.total)}")
+        print(f"max |analytic - simulated|: {format_complex(diff)}")
         print("note: total success probability does not depend on the input state")
     return EXIT_OK
 
@@ -181,17 +177,17 @@ def cmd_montecarlo(args) -> int:
         z = diff / std_err
     if args.format == "csv":
         print("analytic,empirical,stderr,z")
-        print(",".join([_fmt(total), _fmt(mc.p_hat), _fmt(mc.std_err), _fmt(z)]))
+        print(",".join(map(format_complex, (total, mc.p_hat, mc.std_err, z))))
     else:
         print(f"trials: {mc.trials}")
         print(f"seed: {mc.seed}")
         print(f"sampler: {mc.sampler}")
         print(f"outcome counts: {' '.join(str(n) for n in mc.outcome_counts)}")
         print(f"success counts: {' '.join(str(n) for n in mc.success_counts)}")
-        print(f"analytic total: {_fmt(total)}")
-        print(f"empirical total: {_fmt(mc.p_hat)}")
-        print(f"std err: {_fmt(mc.std_err)}")
-        print(f"z: {_fmt(z)}")
+        print(f"analytic total: {format_complex(total)}")
+        print(f"empirical total: {format_complex(mc.p_hat)}")
+        print(f"std err: {format_complex(mc.std_err)}")
+        print(f"z: {format_complex(z)}")
     return EXIT_OK
 
 

@@ -223,16 +223,6 @@ class Batch(NamedTuple):
     total: np.ndarray
 
 
-def _diagonal(c0, c1) -> np.ndarray:
-    """diag(c0, c1) over arrays of pairs: shape (..., 2, 2), float64 for real
-    coefficients and complex128 when either is complex."""
-    dtype = np.complex128 if np.iscomplexobj(c0) or np.iscomplexobj(c1) else np.float64
-    d = np.zeros(np.broadcast_shapes(np.shape(c0), np.shape(c1)) + (2, 2), dtype=dtype)
-    d[..., 0, 0] = c0
-    d[..., 1, 1] = c1
-    return d
-
-
 def _k_bounds(tau: np.ndarray) -> np.ndarray:
     """Largest valid K, 1/s_max, per operator over the last two axes.
 
@@ -271,7 +261,7 @@ def matched_unitary(c0: complex, c1: complex, k: float) -> np.ndarray:
     k = _positive_k(k)
     c0, c1 = _amplitude(c0, "coefficient c0"), _amplitude(c1, "coefficient c1")
     with np.errstate(divide="ignore"):  # min(1/|c0|, 1/|c1|), inf where both vanish
-        bound = float(_k_bounds(_diagonal(c0, c1)))
+        bound = float(_k_bounds(np.diag([c0, c1])))
     if k > bound * (1.0 + K_BOUND_RTOL):
         raise KOutOfRangeError(
             f"K={k!r} outside (0, {bound!r}] for coefficients ({complex(c0)!r}, {complex(c1)!r})"
@@ -338,7 +328,11 @@ def _array(v) -> np.ndarray:
     try:
         return np.asarray(v)
     except ValueError:
+        pass
+    try:
         return np.asarray(v, dtype=object)
+    except ValueError:  # as for arrays of shapes (2, 2) and (2, 3): one object per outer entry
+        return np.fromiter(v, dtype=object, count=len(v))
 
 
 def _number_array(given, a: np.ndarray, kinds: str, otype: type, rule) -> np.ndarray:
@@ -422,8 +416,11 @@ def b_axis_channels(b) -> np.ndarray:
     """Amplitude stack of the channels sqrt(1 - b^2)|00> + b|11>, in float64:
     every channel of the b axis is real, and `points` keeps it so."""
     b = np.asarray(b, dtype=float)
+    x = np.zeros(b.shape + (2, 2))
     with np.errstate(over="ignore"):  # |b| above 1e154 gives a = 0, refused by `points`
-        return _diagonal(np.sqrt(np.fmax(0.0, 1.0 - b * b)), b)
+        x[..., 0, 0] = np.sqrt(np.fmax(0.0, 1.0 - b * b))
+    x[..., 1, 1] = b
+    return x
 
 
 def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
@@ -580,6 +577,7 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     b = np.asarray(b, dtype=float)
     pts = points(b_axis_channels(b), standard_bell(), "max-per-outcome")
-    # |a|, |b| <= 1 on the b axis, so each Bell-basis bound 1/max(|a|, |b|) >= 1: K=1 is valid
-    p_k1 = _p_joint(pts.basis.pref2, pts.det, np.ones_like(pts.k)).sum(axis=-1)
+    # |a|, |b| <= 1 on the b axis, so each Bell-basis bound 1/max(|a|, |b|) >= 1: K=1 is
+    # valid. Its total is four equal outcomes at pref^2 = 1/2, 4 * det^2 / 2 exactly.
+    p_k1 = 2.0 * np.square(pts.det[:, 0])
     return b, _p_joint(pts.basis.pref2, pts.det, pts.k).sum(axis=-1), p_k1, 2.0 * p_k1

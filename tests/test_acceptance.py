@@ -256,7 +256,7 @@ def test_criterion_10_k_bound_enforcement():
     for _ in range(100):
         c0 = rng.uniform(0.05, 1.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         c1 = rng.uniform(0.05, 1.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        bound = float(protocol._k_bounds(protocol._diagonal(c0, c1)))  # min(1/|c0|, 1/|c1|)
+        bound = float(protocol._k_bounds(np.diag([c0, c1])))  # min(1/|c0|, 1/|c1|)
         try:
             matched_unitary(c0, c1, bound * (1 + 1e-6))
             ok = False

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import telematch.cli
 import telematch.protocol
-from telematch.channel import PureInputState, parse_channel
+from telematch.channel import PureInputState, UnteleportableChannelError, parse_channel
 from telematch.cli import MAX_STEPS, SEED_ENV, main
-from telematch.measurement import parse_basis
-from telematch.protocol import KPolicy, analytic_report, monte_carlo, simulate_report
+from telematch.measurement import DegenerateBasisError, parse_basis
+from telematch.protocol import KOutOfRangeError, KPolicy, analytic_report, monte_carlo, simulate_report
 
 
 def run_cli(argv):
@@ -957,3 +962,124 @@ RUN_GBM = ["run", "--channel", "diag:0.6+0.48i,0.64", "--basis", "gbm:0.28,0.96"
 )
 def test_run_output_is_byte_identical_to_golden(capsys, argv, golden):
     assert run_capture(capsys, argv) == (0, golden, "")
+
+
+# ------------------------------------------- a standing property over the CLI grammar
+
+# Literals that broke an entry point before: non-finite and out-of-range doubles,
+# a complex inf, spellings float() or int() read or refuse (hex, digit groups, a
+# non-ASCII digit), a bool's name and the empty string.
+ODD_NUMBERS = ["-1", "nan", "-nan", "inf", "-inf", "1e400", "1e-320", "1+infi", "0x1p-3", "1_0",
+               "\u0663", "True", "", " 0.8 "]
+ODD_COUNTS = ["0", "-1", "1_0", "\u0663", "True", "", str(2**63)]
+
+
+def _grammar(odd):
+    """The strategy of each token of an argv: valid tokens alone, or on an odd argv a
+    valid token or an odd one, about half the time each."""
+    def field(valid, odd_tokens):
+        valid = st.sampled_from(valid)
+        return st.one_of(valid, odd_tokens) if odd else valid
+
+    numbers = field(["0.8", "0.6", "0.6i", "-0.28", "0.96", "0.7071067811865476", "1", "0", "0.5"],
+                    st.sampled_from(ODD_NUMBERS))
+    return {
+        "channel": field(["diag:0.8,0.6", "diag:0.6,0.8", "0.5+0.1i,0.3,-0.2i,0.7810249675906654",
+                          "0,0.7071067811865476,0.7071067811865476,0", "diag:1,0"],
+                         st.one_of(st.builds("diag:{},{}".format, numbers, numbers),
+                                   st.lists(numbers, min_size=1, max_size=5).map(",".join))),
+        "basis": field(["bell", "gbm:0.6,0.8", "gbm:-0.28,0.96", "gbm:1,0"],
+                       st.one_of(st.sampled_from(["gbm:0.6", ""]),
+                                 st.builds("gbm:{},{}".format, numbers, numbers))),
+        "k": field(["max", "per-outcome", "0.5", "2"], numbers),
+        # the values of --alpha and --beta, which must come together
+        "input": field([["0.6", "0.8"], ["0.6i", "-0.8"], ["1", "0"]],
+                       st.lists(numbers, min_size=1, max_size=2)),
+        "trials": field(["1", "5", "1000", str(2**63 - 1)], st.sampled_from(ODD_COUNTS)),
+        "seed": field(["0", "7", str(2**64)], st.sampled_from(ODD_COUNTS)),
+        # grids of a few points: a sweep of the largest grid takes seconds
+        "steps": field(["2", "5"], st.sampled_from(["0", "1", "100001", *ODD_COUNTS])),
+        "format": field(["text", "csv"], st.sampled_from(["json", ""])),
+        # the ends of a b or k grid
+        "end": field(["0.1", "0.5", "0.9", "-0.5", "1", "-1", "1.2"], numbers),
+    }
+
+
+GRAMMARS = (_grammar(odd=False), _grammar(odd=True))
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of any subcommand but help, without --out."""
+    grammar = draw(st.sampled_from(GRAMMARS))
+
+    def options(*names):
+        argv = []
+        for name in draw(st.lists(st.sampled_from(names), unique=True)):
+            if name == "input":
+                argv += [arg for pair in zip(("--alpha", "--beta"), draw(grammar[name])) for arg in pair]
+            else:
+                argv += [f"--{name}", draw(grammar[name])]
+        return argv
+
+    command = draw(st.sampled_from(["analyze", "run", "montecarlo", "sweep", "fig1"]))
+    if command == "analyze":
+        return [command, "--channel", draw(grammar["channel"]), *options("format")]
+    if command == "run":
+        return [command, "--channel", draw(grammar["channel"]), *options("basis", "k", "input", "format")]
+    if command == "montecarlo":
+        return [command, "--channel", draw(grammar["channel"]),
+                *options("basis", "k", "input", "format", "trials", "seed")]
+    if command == "fig1":
+        return [command, *options("steps")]
+    return [command, "--param", draw(st.sampled_from(["b", "k"])), "--start", draw(grammar["end"]),
+            "--stop", draw(grammar["end"]), "--steps", draw(grammar["steps"]),
+            *options("channel", "basis", "k", "input")]
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _error_class(argv):
+    """The class of what parsing and running argv raises, without main's mapping to exit
+    codes: SystemExit for what argparse refuses, None for success."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = telematch.cli.build_parser().parse_args(argv)
+            args.func(args)
+        except SystemExit:
+            return SystemExit
+        except (ValueError, OSError) as exc:
+            return type(exc)
+    return None
+
+
+DOMAIN_ERRORS = (KOutOfRangeError, UnteleportableChannelError, DegenerateBasisError)
+
+
+@settings(max_examples=500)
+@given(cli_argvs())
+def test_every_argv_exits_by_its_error_class_with_one_error_line(argv):
+    code, out, err = _outcome(argv)
+    assert (code, out, err) == _outcome(argv)  # the same bytes on a second run
+    if code == 0:
+        assert err == ""
+        assert not re.search(r"(?i)(?<![a-z])(nan|inf)", out), out
+        return
+    error = _error_class(argv)
+    assert error is not None  # main failed where the command, called alone, ran
+    assert code == (2 if issubclass(error, DOMAIN_ERRORS) else 1), error
+    assert out == ""
+    lines = err.splitlines()
+    if error is SystemExit:
+        # argparse prints its usage before the line, and names the subcommand in it
+        assert lines[0].startswith("usage: telematch")
+        assert re.match(r"^telematch( [a-z0-9]+)?: error: ", lines[-1]), err
+        assert sum(": error: " in line for line in lines) == 1, err
+    else:
+        assert len(lines) == 1 and lines[0].startswith("telematch: error: "), err

@@ -51,7 +51,7 @@ def test_the_cli_imports_no_private_name_of_the_package():
 
 def test_the_protocol_reads_no_degeneracy_of_a_basis():
     # a basis refuses its own degeneracy when it is built; the kernels read
-    # only its blocks, t_matrix (through project_all) and pref2
+    # only its blocks, t_matrix (through project_all), pref2 and c_b
     source = (PACKAGE / "protocol.py").read_text()
     found = [name for name in ("DegenerateBasisError", "DEGENERATE_TOL", ".a_p", ".b_p")
              if name in source]
