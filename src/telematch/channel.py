@@ -135,7 +135,10 @@ def _gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a *= a
     p = a[..., 0, 0] + a[..., 0, 1]
     q = a[..., 1, 0] + a[..., 1, 1]
-    r = np.abs(m[..., 0, 0] * m[..., 1, 0].conj() + m[..., 0, 1] * m[..., 1, 1].conj())
+    # np.multiply: from 256 KiB, `*` writes into conj()'s temporary and swaps the
+    # operands of a complex product, which is not bitwise commutative
+    r = np.abs(np.multiply(m[..., 0, 0], m[..., 1, 0].conj())
+               + np.multiply(m[..., 0, 1], m[..., 1, 1].conj()))
     return p, q, r
 
 

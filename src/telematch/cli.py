@@ -67,10 +67,10 @@ GRID_BLOCK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; this tool reserves 2 for domain errors
+    # refuse a bad argument as a bad literal is refused: main's one error line and exit 1,
+    # not argparse's usage block and exit 2, which this tool keeps for domain errors
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
 def _check_steps(steps: int, least: int) -> None:

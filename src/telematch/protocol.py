@@ -434,24 +434,21 @@ def analytic_batch(inp: PureInputState, pts: Points) -> Batch:
     gbm(a', b') that is 2 min(|a|, |b|, |a'|, |b'|)^2, a plateau at
     2 lambda_min^2 (Vidal's bound), on which the Bell basis always sits.
     """
-    p_alice, p_joint = _probabilities(inp, pts)
+    p_alice, p_bob, p_joint = _probabilities(inp, pts)
     total = np.add.reduce(p_joint, axis=-1)  # ndarray.sum's reduction, in outcome order
-    return Batch(pts.k, p_alice, p_joint / p_alice, p_joint, np.ones(p_joint.shape), total)
+    return Batch(pts.k, p_alice, p_bob, p_joint, np.ones(p_joint.shape), total)
 
 
-def _probabilities(inp: PureInputState, pts: Points) -> tuple[np.ndarray, np.ndarray]:
-    """The closed forms alone: the (N, 4) p_alice and p_joint of `analytic_batch`."""
+def _probabilities(inp: PureInputState, pts: Points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed forms alone: the (N, 4) p_alice, p_bob and p_joint = pref^2 (K det)^2,
+    det = |det tau|, of `analytic_batch`."""
     tau = pts.tau
     # tau @ (alpha, beta) elementwise: a matmul may round differently
     v = np.abs(tau[..., 0] * inp.alpha + tau[..., 1] * inp.beta)
     v *= v
     p_alice = pts.basis.pref2 * (v[..., 0] + v[..., 1])
-    return p_alice, _p_joint(pts.basis.pref2, pts.det, pts.k)
-
-
-def _p_joint(pref2, det: np.ndarray, k) -> np.ndarray:
-    """pref^2 (K det)^2, det = |det tau|: the chance that each outcome occurs and heralds success."""
-    return pref2 * np.square(k * det)
+    p_joint = pts.basis.pref2 * np.square(pts.k * pts.det)
+    return p_alice, p_joint / p_alice, p_joint
 
 
 def simulate_batch(inp: PureInputState, pts: Points) -> Batch:
@@ -540,14 +537,13 @@ def monte_carlo(
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     # analytic_batch's p_alice and p_bob, bit for bit, without its total and fidelity
-    p_alice, p_joint = _probabilities(inp, _report_points(ch, basis, policy.mode, policy.k))
-    p_bob = (p_joint / p_alice).tolist()[0]
+    p_alice, p_bob, _ = _probabilities(inp, _report_points(ch, basis, policy.mode, policy.k))
     rng = np.random.Generator(np.random.PCG64(seed))  # what default_rng(seed) builds
     outcomes = rng.multinomial(trials, p_alice[0]).tolist()
     # Four scalar draws: the same counts and generator state as one array call,
     # at less than half its cost. binomial refuses the p_bob of 1 + 1ulp that
     # perfect channels give.
-    successes = [rng.binomial(n, min(p, 1.0)) for n, p in zip(outcomes, p_bob)]
+    successes = [rng.binomial(n, min(p, 1.0)) for n, p in zip(outcomes, p_bob[0].tolist())]
     p_hat = sum(successes) / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return MonteCarloReport(trials, seed, tuple(outcomes), tuple(successes), p_hat, std_err)
@@ -577,7 +573,7 @@ def fig1_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     b = np.asarray(b, dtype=float)
     pts = points(b_axis_channels(b), standard_bell(), "max-per-outcome")
-    # |a|, |b| <= 1 on the b axis, so each Bell-basis bound 1/max(|a|, |b|) >= 1: K=1 is
-    # valid. Its total is four equal outcomes at pref^2 = 1/2, 4 * det^2 / 2 exactly.
+    # Bell's four outcomes share one bound bit for bit, K >= 1 as |a|, |b| <= 1, so each
+    # total, at that K or at K=1, is four equal outcomes at pref^2 = 1/2: 2 (K det)^2.
     p_k1 = 2.0 * np.square(pts.det[:, 0])
-    return b, _p_joint(pts.basis.pref2, pts.det, pts.k).sum(axis=-1), p_k1, 2.0 * p_k1
+    return b, 2.0 * np.square(pts.k[:, 0] * pts.det[:, 0]), p_k1, 2.0 * p_k1
