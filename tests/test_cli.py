@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import re
@@ -697,6 +698,24 @@ def test_fig1_file_holds_the_bytes_fig1_prints(tmp_path, capsys):
     code, out, _ = run_capture(capsys, ["fig1", "--steps", "3000"])
     assert code == 0
     assert target.read_bytes() == out.encode()
+
+
+# SHA-256 of `fig1 --steps 20000`, the benchmark's own size, as the four-outcome
+# `points` route printed it
+FIG1_20000_SHA256 = "e3b70ec551c0bda277cf1d59b4ef47794ab60208c767b1055f64d1f18dc3562f"
+
+
+def test_fig1_reads_its_curves_without_validating_points(capsys, monkeypatch):
+    # fig1's grid is normalized and entangled by construction: its route builds no
+    # Points, and so calls no BLAS product, whatever OpenBLAS kernel runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("fig1 built a Points")
+
+    monkeypatch.setattr(telematch.protocol, "points", refuse)
+    monkeypatch.setattr(telematch.protocol, "_points", refuse)
+    code, out, err = run_capture(capsys, ["fig1", "--steps", "20000"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FIG1_20000_SHA256
 
 
 # a product state with every amplitude nonzero

@@ -998,13 +998,27 @@ def test_fig1_optimal_curve_dominates_fixed_k():
 
 
 def test_fig1_columns_follow_the_closed_forms_on_a_large_grid():
-    # fig1's own size in the benchmark: the K=1 curve reuses the validated points
+    # fig1's own size in the benchmark: both curves come from the b-axis stack alone
     b, p_opt, p_k1, p_ksqrt2 = fig1_columns(fig1_grid(20000))
     a = np.sqrt(1.0 - b * b)
     assert np.max(np.abs(p_opt - 2.0 * b * b)) <= 1e-12
     assert np.max(np.abs(p_k1 - 2.0 * (a * b) ** 2)) <= 1e-12
     assert np.max(np.abs(p_ksqrt2 - 4.0 * (a * b) ** 2)) <= 1e-12
     assert np.all(p_opt > p_k1)
+
+
+def test_fig1_curves_equal_the_analytic_kernels_totals_bit_for_bit():
+    # fig1 skips `points` on its grid; each block's curves must still be the totals
+    # the analytic kernel gives on the validated points of the same stack
+    inp = PureInputState(H, H)
+    grid = fig1_grid(20000)
+    for start in range(0, len(grid), 1024):
+        b = grid[start:start + 1024]
+        _, p_opt, p_k1, _ = fig1_columns(b)
+        x = b_axis_channels(b)
+        for (mode, k), curve in ((("max-per-outcome", None), p_opt), (("fixed", 1.0), p_k1)):
+            total = analytic_batch(inp, points(x, standard_bell(), mode, k)).total
+            assert np.array_equal(curve, total), (start, mode)
 
 
 # ------------------------------------------------------- batched kernels
