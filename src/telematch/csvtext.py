@@ -41,8 +41,9 @@ _U = np.uint64
 
 # Blocks with fewer values are formatted by Python at once: there the
 # fixed cost of the vector path's numpy calls is more than it saves
-# (x86-64, random values: 75 values 150 against 60 us, 300 values 159
-# against 219 us, 750 values 251 against 626 us).
+# (x86-64, fig1's values, scalar against vector: 75 values 48 against
+# 89 us, 300 values 133 against 104 us, 750 values 335 against 139 us;
+# the two cross near 225 values).
 VECTOR_MIN = 300
 # Magnitudes the vector path takes; every power of ten in the table, and
 # every product |x| 10^(14-e) and its splits, stays a normal double.

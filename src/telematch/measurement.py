@@ -21,7 +21,6 @@ give blocks @ A.reshape(4) = tau_lam[k, i] over (i, k, lam).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +101,10 @@ class TwoQubitBasis:
         object.__setattr__(self, "c_b", 1.0 if self.kind == "bell" else abs(a_p * b_p))
 
 
-@functools.cache
 def standard_bell() -> TwoQubitBasis:
     """The four Bell states, rows ordered (phi+, phi-, psi+, psi-).
 
-    Built on the first call; every call returns that one instance.
+    Every call builds a new basis, equal to the others.
     """
     return TwoQubitBasis("bell")
 

@@ -135,10 +135,10 @@ class KPolicy:
         return cls.fixed(k)
 
 
-# The three report types below write their fields straight into __dict__: the
-# generated __init__ of a frozen dataclass calls object.__setattr__ once per
-# field, which took most of the time of building a report. Their eq, hash, repr
-# and frozenness stay the generated ones, and replace calls this __init__.
+# OutcomeReport writes its fields straight into __dict__: the generated __init__
+# of a frozen dataclass calls object.__setattr__ once per field, and a report
+# pair builds eight of them. Its eq, hash, repr and frozenness stay the
+# generated ones, and replace calls this __init__.
 
 
 @dataclass(frozen=True, init=False)
@@ -162,18 +162,13 @@ class OutcomeReport:
         fields["fidelity"] = fidelity
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ProtocolReport:
     outcomes: tuple[OutcomeReport, ...]
     total: float
 
-    def __init__(self, outcomes, total):
-        fields = self.__dict__
-        fields["outcomes"] = outcomes
-        fields["total"] = total
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MonteCarloReport:
     trials: int
     seed: int
@@ -182,17 +177,6 @@ class MonteCarloReport:
     p_hat: float
     std_err: float
     sampler: str = "multinomial-binomial"
-
-    def __init__(self, trials, seed, outcome_counts, success_counts, p_hat, std_err,
-                 sampler="multinomial-binomial"):
-        fields = self.__dict__
-        fields["trials"] = trials
-        fields["seed"] = seed
-        fields["outcome_counts"] = outcome_counts
-        fields["success_counts"] = success_counts
-        fields["p_hat"] = p_hat
-        fields["std_err"] = std_err
-        fields["sampler"] = sampler
 
 
 class Points(NamedTuple):

@@ -182,8 +182,9 @@ def test_basis_matrix_is_read_only():
 
 
 def test_each_basis_is_built_once():
-    assert standard_bell() is standard_bell()
-    assert parse_basis(" Bell ") is standard_bell()
+    bell = standard_bell()
+    for twin in (standard_bell(), parse_basis(" Bell ")):
+        assert twin == bell and hash(twin) == hash(bell)
     gbm = generalized_bell(0.6, 0.8)
     assert generalized_bell(0.6, 0.8) == gbm
     assert parse_basis("gbm:0.6,0.8") == gbm

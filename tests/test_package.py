@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import importlib
 import io
 import os
 import pathlib
@@ -8,9 +9,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import telematch
+import telematch.cli
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -73,12 +78,67 @@ NUMBER_ENTRY_POINTS = {
 }
 
 
+# What is not a number, by kind. A container holds at least one leaf that is not a
+# number, or has a shape no entry point takes: a list of floats could be a K per point.
+_BOOLS = st.booleans() | st.booleans().map(np.bool_)
+_STRS_AND_BYTES = st.one_of(
+    st.floats().map(repr), st.integers().map(str), st.text(max_size=4), st.binary(max_size=4)
+)
+_NOT_A_NUMBER_LEAF = _BOOLS | st.none() | _STRS_AND_BYTES
+
+
+@st.composite
+def _flat_lists(draw):
+    numbers = draw(st.lists(st.floats(), max_size=3))
+    at = draw(st.integers(0, len(numbers)))
+    return numbers[:at] + [draw(_NOT_A_NUMBER_LEAF)] + numbers[at:]
+
+
+@st.composite
+def _nested_lists(draw):
+    # an (N, 2, 2) stack, as the points entries take, with one leaf that is no number
+    n = draw(st.integers(1, 2))
+    leaves = draw(st.lists(st.floats(), min_size=4 * n, max_size=4 * n))
+    leaves[draw(st.integers(0, 4 * n - 1))] = draw(_NOT_A_NUMBER_LEAF)
+    return [[leaves[4 * i:4 * i + 2], leaves[4 * i + 2:4 * i + 4]] for i in range(n)]
+
+
+_RAGGED_LISTS = st.lists(st.lists(st.floats(), max_size=3), min_size=2, max_size=3).filter(
+    lambda rows: len({len(row) for row in rows}) > 1
+)
+
+NON_NUMBERS = {
+    "bools": _BOOLS,
+    "strs-and-bytes": _STRS_AND_BYTES,
+    "none-tuples-and-lists": st.one_of(
+        st.none(), _flat_lists().map(tuple), _flat_lists(), _nested_lists(), _RAGGED_LISTS
+    ),
+    "dicts-and-sets": st.one_of(
+        st.dictionaries(st.text(max_size=2), st.floats(), max_size=2),
+        st.sets(st.floats(allow_nan=False), max_size=2),
+    ),
+    "arrays": st.one_of(
+        st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)),
+        st.lists(st.booleans(), min_size=4, max_size=4).map(
+            lambda v: np.array(v, dtype=bool).reshape(1, 2, 2)),
+        st.lists(st.text(max_size=3), min_size=1, max_size=4).map(np.array),
+        _flat_lists().map(lambda v: np.array(v, dtype=object)),
+        _nested_lists().map(lambda v: np.array(v, dtype=object)),
+    ),
+}
+
+
 @pytest.mark.parametrize("enter", NUMBER_ENTRY_POINTS.values(), ids=NUMBER_ENTRY_POINTS)
-@pytest.mark.parametrize("value", [True, "1", None, [1.0], [1.0, True]], ids=repr)
-def test_every_entry_point_refuses_what_is_not_a_number_with_a_value_error(enter, value):
+@pytest.mark.parametrize("kind", NON_NUMBERS.values(), ids=NON_NUMBERS)
+def test_every_entry_point_refuses_what_is_not_a_number_with_a_value_error(enter, kind):
     # a bool is no number, a str is not parsed, and nothing reaches a cast that raises TypeError
-    with pytest.raises(ValueError):
-        enter(value)
+    @settings(max_examples=10)
+    @given(kind)
+    def refuses(value):
+        with pytest.raises(ValueError):
+            enter(value)
+
+    refuses()
 
 
 def test_one_module_decides_what_counts_as_a_number():
@@ -121,18 +181,45 @@ def test_the_readme_python_blocks_run_in_order():
 
 def test_importing_the_cli_builds_nothing_a_command_needs():
     # A cold start pays for imports alone: the CSV writer's tables, the
-    # argument parser and the Bell basis are built on first use, and no
+    # argument parser and every basis are built on first use, and no
     # output format loads json.
     code = (
-        "import sys, telematch.cli as cli, telematch.measurement as m\n"
+        "import gc, sys, telematch.cli as cli, telematch.measurement as m\n"
+        "bases = sum(isinstance(o, m.TwoQubitBasis) for o in gc.get_objects())\n"
         "print('telematch.csvtext' in sys.modules, cli._parser.cache_info().currsize,\n"
-        "      m.standard_bell.cache_info().currsize, 'json' in sys.modules)\n"
+        "      bases, 'json' in sys.modules)\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.split() == ["False", "0", "0", "False"]
+
+
+def _run_module_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-m", "telematch.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_the_module_cli_prints_what_main_prints_and_exits_with_its_code():
+    # the console script's path: `python -m telematch.cli` ends in entry's sys.exit
+    done = _run_module_cli("fig1", "--steps", "3")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert telematch.cli.main(["fig1", "--steps", "3"]) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, out.getvalue().encode(), b"")
+    done = _run_module_cli("run", "--channel", "diag:1,0")
+    assert done.returncode == 2 and done.stdout == b""
+    assert re.fullmatch(rb"telematch: error: [^\n]+\n", done.stderr)
+
+
+def test_the_console_script_names_a_callable_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    config = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    assert config["project"]["scripts"] == {"telematch": "telematch.cli:entry"}
+    module, name = config["project"]["scripts"]["telematch"].split(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_importing_the_csv_writer_loads_nothing_beyond_numpy_and_telematch():
