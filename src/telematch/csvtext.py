@@ -43,7 +43,10 @@ _U = np.uint64
 # fixed cost of the vector path's numpy calls is more than it saves
 # (x86-64, fig1's values, scalar against vector: 75 values 48 against
 # 89 us, 300 values 133 against 104 us, 750 values 335 against 139 us;
-# the two cross near 225 values).
+# the two cross near 225 values). It stays 300: a block of 225 to 299
+# values, a sweep of 75 to 99 steps or a fig1 of 57 to 74, would save at
+# most 29 us, and no perfbench workload writes one (its sweeps write 75
+# or 750 values, its fig1 blocks 2176 or more).
 VECTOR_MIN = 300
 # Magnitudes the vector path takes; every power of ten in the table, and
 # every product |x| 10^(14-e) and its splits, stays a normal double.

@@ -181,7 +181,7 @@ def test_basis_matrix_is_read_only():
         basis.t_matrix[0, 0] = 2.0
 
 
-def test_each_basis_is_built_once():
+def test_bases_built_alike_are_equal_and_hash_alike():
     bell = standard_bell()
     for twin in (standard_bell(), parse_basis(" Bell ")):
         assert twin == bell and hash(twin) == hash(bell)
