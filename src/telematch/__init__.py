@@ -17,16 +17,12 @@ from .channel import (
     classify,
     concurrence,
     cpm,
-    format_complex,
-    parse_channel,
-    parse_complex,
 )
 from .measurement import (
     DegenerateBasisError,
     InvalidBasisError,
     TwoQubitBasis,
     generalized_bell,
-    parse_basis,
     standard_bell,
 )
 from .protocol import (
@@ -69,13 +65,9 @@ __all__ = [
     "classify",
     "concurrence",
     "cpm",
-    "format_complex",
     "generalized_bell",
     "matched_unitary",
     "monte_carlo",
-    "parse_basis",
-    "parse_channel",
-    "parse_complex",
     "points",
     "simulate_batch",
     "simulate_report",

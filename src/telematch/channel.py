@@ -164,53 +164,3 @@ def classify(ch: TwoQubitChannel) -> ChannelClass:
         return ChannelClass.UNTELEPORTABLE
     return ChannelClass.PROBABILISTIC
 
-
-def parse_complex(text: str) -> complex:
-    """Parse a scalar literal: '0.8', '-0.5+0.5i', '1e-3-2e-4i', '1-infi'; only a
-    trailing i or I is the imaginary unit, so 'inf' and 'Infinity' keep their i."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty number literal")
-    if s[-1] in "iI":
-        s = s[:-1] + "j"
-    try:
-        return complex(s)
-    except ValueError:
-        raise ValueError(f"bad number literal: {text!r}") from None
-
-
-def format_complex(z: complex) -> str:
-    """Render a scalar with up to 15 significant digits.
-
-    Real values print without an imaginary part; complex values print as
-    're+imi' so the output can be parsed back by parse_complex.
-    """
-    re = format(z.real, ".15g")
-    if z.imag == 0:
-        return re
-    im = format(z.imag, ".15g")
-    sign = "+" if not im.startswith("-") else ""
-    return f"{re}{sign}{im}i"
-
-
-def parse_channel(text: str) -> TwoQubitChannel:
-    """Parse a channel literal.
-
-    Two forms are accepted: 'diag:a,b' for a|00> + b|11>, and a
-    comma-separated list of four amplitudes 'x00,x01,x10,x11'. Entries
-    may be complex ('0.5+0.5i'). The parsed state must be normalized.
-    """
-    s = text.strip()
-    if s.lower().startswith("diag:"):
-        parts = s[5:].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"diag channel needs two amplitudes, got {text!r}")
-        a, b = (parse_complex(p) for p in parts)
-        return TwoQubitChannel.diagonal(a, b)
-    parts = s.split(",")
-    if len(parts) != 4:
-        raise ValueError(
-            f"channel literal needs 'diag:a,b' or four amplitudes, got {text!r}"
-        )
-    x00, x01, x10, x11 = (parse_complex(p) for p in parts)
-    return TwoQubitChannel(x00, x01, x10, x11)

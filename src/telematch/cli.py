@@ -6,6 +6,9 @@ KOutOfRangeError, UnteleportableChannelError or DegenerateBasisError;
 1 for any other ValueError (a bad literal or inconsistent options) and
 for OSError. `run` and `montecarlo` take any pure channel and print
 the library's reports; numbers print with 15 significant digits.
+
+This module owns the text grammar: it parses every literal a user types and
+formats every number printed, with `csvtext`; the library takes only numbers.
 """
 
 from __future__ import annotations
@@ -22,14 +25,12 @@ import numpy as np
 from .channel import (
     UnteleportableChannelError,
     PureInputState,
+    TwoQubitChannel,
     classify,
     concurrence,
     cpm,
-    format_complex,
-    parse_channel,
-    parse_complex,
 )
-from .measurement import DegenerateBasisError, parse_basis
+from .measurement import DegenerateBasisError, InvalidBasisError, TwoQubitBasis, generalized_bell, standard_bell
 from .protocol import (
     MAX_TRIALS,
     KOutOfRangeError,
@@ -73,6 +74,78 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def parse_complex(text: str) -> complex:
+    """Parse a scalar literal: '0.8', '-0.5+0.5i', '1e-3-2e-4i', '1-infi'; only a
+    trailing i or I is the imaginary unit, so 'inf' and 'Infinity' keep their i."""
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty number literal")
+    if s[-1] in "iI":
+        s = s[:-1] + "j"
+    try:
+        return complex(s)
+    except ValueError:
+        raise ValueError(f"bad number literal: {text!r}") from None
+
+
+def format_complex(z: complex) -> str:
+    """Render a scalar with up to 15 significant digits: a real value without an
+    imaginary part, a complex one as 're+imi', which parse_complex reads back."""
+    re = format(z.real, ".15g")
+    if z.imag == 0:
+        return re
+    im = format(z.imag, ".15g")
+    return f"{re}{'' if im.startswith('-') else '+'}{im}i"
+
+
+def _pair(text: str, prefix: str, error: type[ValueError], message: str):
+    """The two numbers of a literal 'prefix:a,b', its prefix in any case, or None
+    if text has not that prefix; error(message) if it has not two entries."""
+    s = text.strip()
+    if not s.lower().startswith(prefix):
+        return None
+    parts = s[len(prefix):].split(",")
+    if len(parts) != 2:
+        raise error(f"{message}, got {text!r}")
+    return [parse_complex(p) for p in parts]
+
+
+def parse_channel(text: str) -> TwoQubitChannel:
+    """Parse a channel literal: 'diag:a,b' for a|00> + b|11>, or four amplitudes
+    'x00,x01,x10,x11'. Entries may be complex ('0.5+0.5i'); the state must be normalized."""
+    pair = _pair(text, "diag:", ValueError, "diag channel needs two amplitudes")
+    if pair is not None:
+        return TwoQubitChannel.diagonal(*pair)
+    parts = text.strip().split(",")
+    if len(parts) != 4:
+        raise ValueError(f"channel literal needs 'diag:a,b' or four amplitudes, got {text!r}")
+    return TwoQubitChannel(*[parse_complex(p) for p in parts])
+
+
+def parse_basis(text: str) -> TwoQubitBasis:
+    """Parse a basis literal: 'bell' or 'gbm:a,b' with real a, b."""
+    if text.strip().lower() == "bell":
+        return standard_bell()
+    pair = _pair(text, "gbm:", InvalidBasisError, "gbm basis needs two coefficients")
+    if pair is None:
+        raise InvalidBasisError(f"unknown basis literal {text!r} (want 'bell' or 'gbm:a,b')")
+    return generalized_bell(*pair)  # refuses complex coefficients
+
+
+def parse_k_policy(text: str) -> KPolicy:
+    """Parse 'max', 'per-outcome', or a positive number."""
+    s = text.strip().lower()
+    if s in ("max", "max-global"):
+        return KPolicy.max_global()
+    if s in ("per-outcome", "max-per-outcome"):
+        return KPolicy.max_per_outcome()
+    try:
+        k = float(s)
+    except ValueError:
+        raise ValueError(f"bad K literal {text!r} (want a number, 'max', or 'per-outcome')") from None
+    return KPolicy.fixed(k)
+
+
 def _check_steps(steps: int, least: int) -> None:
     if not least <= steps <= MAX_STEPS:
         raise ValueError(f"--steps must be between {least} and {MAX_STEPS}, got {steps}")
@@ -102,7 +175,7 @@ def _resolve_seed(args) -> int:
 
 def _literals(args):
     """The input state, channel, basis and K policy that run and montecarlo name."""
-    return _input_state(args), parse_channel(args.channel), parse_basis(args.basis), KPolicy.parse(args.k)
+    return _input_state(args), parse_channel(args.channel), parse_basis(args.basis), parse_k_policy(args.k)
 
 
 def cmd_analyze(args) -> int:
@@ -205,7 +278,7 @@ def cmd_sweep(args) -> int:
     if args.param == "k":
         if args.channel is None:
             raise ValueError("sweeping k needs --channel")
-        if KPolicy.parse(args.k) != KPolicy.max_global():  # a K sweep ignores the default
+        if parse_k_policy(args.k) != KPolicy.max_global():  # a K sweep ignores the default
             raise ValueError("sweeping k takes K from the grid; drop --k")
         x = parse_channel(args.channel).vector().reshape(1, 2, 2)
 
@@ -214,7 +287,7 @@ def cmd_sweep(args) -> int:
     else:
         if args.channel is not None:
             raise ValueError("sweeping b derives the channel; drop --channel")
-        policy = KPolicy.parse(args.k)
+        policy = parse_k_policy(args.k)
 
         def block_points(g):
             return points(b_axis_channels(g), basis, policy.mode, policy.k)
@@ -292,11 +365,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("sweep", help="tabulate success probability along a parameter grid")
-    p.add_argument("--param", choices=("k", "b"), required=True)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p = sub.add_parser(
+        "sweep",
+        help="tabulate success probability along a parameter grid",
+        description="If any grid point is refused (b at 0 or +-1, or a K above some outcome's "
+        "bound), nothing is printed and the command exits with that point's error.",
+    )
+    p.add_argument("--param", choices=("k", "b"), required=True,
+                   help="sweep K on --channel, or b on the channel sqrt(1-b^2)|00> + b|11>")
+    p.add_argument("--start", type=float, required=True,
+                   help="first grid point; a b sweep needs it in [-1, 1]")
+    p.add_argument("--stop", type=float, required=True,
+                   help="last grid point, included; a b sweep needs it in [-1, 1]")
+    p.add_argument("--steps", type=int, required=True,
+                   help=f"number of evenly spaced grid points from --start to --stop, "
+                   f"both included (1 to {MAX_STEPS})")
     p.add_argument("--channel", default=None, help="channel literal (k sweeps only)")
     _add_state_options(p, "default max; b sweeps only")
     p.set_defaults(func=cmd_sweep)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SQRT2, _number, parse_complex
+from .channel import SQRT2, _number
 
 BASIS_KINDS = ("bell", "gbm")
 ORTHONORMALITY_TOL = 1e-9
@@ -145,18 +145,3 @@ def _squared_moduli(z: np.ndarray) -> np.ndarray:
     v = v * v
     return v[..., 0::2] + v[..., 1::2]
 
-
-def parse_basis(text: str) -> TwoQubitBasis:
-    """Parse a basis literal: 'bell' or 'gbm:a,b' with real a, b."""
-    s = text.strip()
-    if s.lower() == "bell":
-        return standard_bell()
-    if s.lower().startswith("gbm:"):
-        parts = s[4:].split(",")
-        if len(parts) != 2:
-            raise InvalidBasisError(
-                f"gbm basis needs two coefficients, got {text!r}"
-            )
-        a_p, b_p = (parse_complex(p) for p in parts)
-        return generalized_bell(a_p, b_p)  # refuses complex coefficients
-    raise InvalidBasisError(f"unknown basis literal {text!r} (want 'bell' or 'gbm:a,b')")

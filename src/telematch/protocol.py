@@ -118,22 +118,6 @@ class KPolicy:
     def max_per_outcome(cls) -> "KPolicy":
         return cls("max-per-outcome")
 
-    @classmethod
-    def parse(cls, text: str) -> "KPolicy":
-        """Parse 'max', 'per-outcome', or a positive number."""
-        s = text.strip().lower()
-        if s in ("max", "max-global"):
-            return cls.max_global()
-        if s in ("per-outcome", "max-per-outcome"):
-            return cls.max_per_outcome()
-        try:
-            k = float(s)
-        except ValueError:
-            raise ValueError(
-                f"bad K literal {text!r} (want a number, 'max', or 'per-outcome')"
-            ) from None
-        return cls.fixed(k)
-
 
 # OutcomeReport writes its fields straight into __dict__: the generated __init__
 # of a frozen dataclass calls object.__setattr__ once per field, and a report

@@ -18,10 +18,8 @@ from telematch.channel import (
     classify,
     concurrence,
     cpm,
-    format_complex,
-    parse_channel,
-    parse_complex,
 )
+from telematch.cli import format_complex, parse_channel, parse_complex
 from telematch.measurement import standard_bell
 from telematch.protocol import points
 

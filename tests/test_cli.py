@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import telematch.cli
 import telematch.protocol
-from telematch.channel import PureInputState, UnteleportableChannelError, parse_channel
-from telematch.cli import MAX_STEPS, SEED_ENV, main
-from telematch.measurement import DegenerateBasisError, parse_basis
+from telematch.channel import PureInputState, UnteleportableChannelError
+from telematch.cli import MAX_STEPS, SEED_ENV, main, parse_basis, parse_channel, parse_k_policy
+from telematch.measurement import DegenerateBasisError
 from telematch.protocol import KOutOfRangeError, KPolicy, analytic_report, monte_carlo, simulate_report
 
 
@@ -839,7 +839,7 @@ OUTCOME_FIELDS = ("k_used", "p_alice", "p_bob", "p_joint", "fidelity")
 
 @REPORT_CASES
 def test_run_output_equals_the_library_reports(capsys, channel, basis, k):
-    args = (PureInputState(0.6, 0.8j), parse_channel(channel), parse_basis(basis), KPolicy.parse(k))
+    args = (PureInputState(0.6, 0.8j), parse_channel(channel), parse_basis(basis), parse_k_policy(k))
     reports = {"analytic": analytic_report(*args), "simulated": simulate_report(*args)}
     ana, sim = reports.values()
     diff = max([abs(ana.total - sim.total)] + [
@@ -871,7 +871,7 @@ def test_run_output_equals_the_library_reports(capsys, channel, basis, k):
 @REPORT_CASES
 def test_montecarlo_output_equals_the_library_reports(capsys, channel, basis, k):
     inp = PureInputState(0.6, 0.8j)
-    args = (inp, parse_channel(channel), parse_basis(basis), KPolicy.parse(k))
+    args = (inp, parse_channel(channel), parse_basis(basis), parse_k_policy(k))
     total = analytic_report(*args).total
     mc = monte_carlo(*args, trials=12345, seed=77)
     z = (mc.p_hat - total) / mc.std_err

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from telematch import measurement
 from telematch.channel import TwoQubitChannel, cpm
+from telematch.cli import parse_basis
 from telematch.measurement import (
     DegenerateBasisError,
     InvalidBasisError,
     TwoQubitBasis,
     generalized_bell,
-    parse_basis,
     project_all,
     standard_bell,
 )

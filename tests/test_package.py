@@ -27,10 +27,14 @@ PUBLIC_NAMES = [
     "KPolicy", "MonteCarloReport", "OutcomeReport", "Points", "ProtocolReport",
     "PureInputState", "TwoQubitBasis", "TwoQubitChannel", "UnteleportableChannelError",
     "__version__", "analytic_batch", "analytic_report", "classify", "concurrence", "cpm",
-    "format_complex", "generalized_bell", "matched_unitary", "monte_carlo",
-    "parse_basis", "parse_channel", "parse_complex", "points", "simulate_batch",
+    "generalized_bell", "matched_unitary", "monte_carlo", "points", "simulate_batch",
     "simulate_report", "standard_bell",
 ]
+
+# The library's modules: they take and return numbers, and the CLI alone holds
+# the text grammar, its literal parsers and its number formatter.
+LIBRARY_MODULES = ("channel.py", "measurement.py", "protocol.py")
+_FRONT_END_MODULES = {"argparse", "cli", "csvtext"}
 
 
 def test_public_names_resolve_and_are_sorted():
@@ -52,6 +56,27 @@ def test_the_cli_imports_no_private_name_of_the_package():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_the_library_holds_no_text_grammar(name):
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith(("parse", "format")):
+                found.append(f"def {node.name}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                parts = set(module.split(".")) | set(alias.name.split("."))
+                if parts & _FRONT_END_MODULES or alias.name.startswith(("parse", "format")):
+                    found.append(f"import {module}:{alias.name}")
+    assert found == []
+
+
+def test_a_k_policy_is_built_from_its_mode_and_k_alone():
+    # the CLI parses a --k literal; KPolicy takes a mode and a number
+    assert not hasattr(telematch.KPolicy, "parse")
 
 
 def test_the_protocol_reads_no_degeneracy_of_a_basis():

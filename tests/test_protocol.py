@@ -24,12 +24,12 @@ from telematch.channel import (
     concurrence,
     cpm,
 )
+from telematch.cli import parse_basis, parse_k_policy
 from telematch.measurement import (
     DegenerateBasisError,
     InvalidBasisError,
     TwoQubitBasis,
     generalized_bell,
-    parse_basis,
     project_all,
     standard_bell,
 )
@@ -125,16 +125,16 @@ def random_channel_vector():
 
 
 def test_kpolicy_parse_forms():
-    assert KPolicy.parse("max") == KPolicy.max_global()
-    assert KPolicy.parse("MAX-GLOBAL") == KPolicy.max_global()
-    assert KPolicy.parse("per-outcome") == KPolicy.max_per_outcome()
-    assert KPolicy.parse("1.25") == KPolicy.fixed(1.25)
+    assert parse_k_policy("max") == KPolicy.max_global()
+    assert parse_k_policy("MAX-GLOBAL") == KPolicy.max_global()
+    assert parse_k_policy("per-outcome") == KPolicy.max_per_outcome()
+    assert parse_k_policy("1.25") == KPolicy.fixed(1.25)
 
 
 @pytest.mark.parametrize("bad", ["", "fastest", "1..2"])
 def test_kpolicy_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
-        KPolicy.parse(bad)
+        parse_k_policy(bad)
 
 
 @pytest.mark.parametrize("bad_k", [0.0, -1.0, float("nan"), float("inf")])
