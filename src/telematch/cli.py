@@ -95,7 +95,8 @@ def format_complex(z: complex) -> str:
     if z.imag == 0:
         return re
     im = format(z.imag, ".15g")
-    return f"{re}{'' if im.startswith('-') else '+'}{im}i"
+    sign = "+" if not im.startswith("-") else ""
+    return f"{re}{sign}{im}i"
 
 
 def _pair(text: str, prefix: str, error: type[ValueError], message: str):
